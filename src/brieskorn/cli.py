@@ -1,8 +1,9 @@
 """Command-line interface: per-triple reports, graph export, scans, verification.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  All numeric
-output is exact (integers); JSON is emitted with sorted keys so that parsing
-and re-emitting is byte-identical.
+Exit codes: 0 success, 1 verification failure (a failed verify suite or a
+failed internal self-consistency check), 2 usage error; main reports either
+error in one line on stderr.  All numeric output is exact (integers); JSON is
+emitted with sorted keys so that parsing and re-emitting is byte-identical.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import sys
 from math import comb
 
 from . import classify, filtration, genus, resolution, verify
+from .errors import InternalCheckError
 from .ring import BrieskornTriple
 
 SCAN_COLUMNS = [
@@ -209,6 +211,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"brieskorn: {exc}", file=sys.stderr)
         return 2
+    except InternalCheckError as exc:
+        print(f"brieskorn: internal check failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -2,15 +2,19 @@
 
 Each suite scans all triples 2 <= a <= b <= c <= bound, checks one of the
 package's cross-validation properties, and reports a check count plus any
-counterexamples.  This is the engine behind `brieskorn verify`.
+counterexamples.  Where a triple's checks can raise InternalCheckError, the
+error is recorded as a failure of that triple, so the suite still reports.  This is
+the engine behind `brieskorn verify`.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import comb
 
 from . import classify, filtration, genus, resolution, ring
+from .errors import InternalCheckError
 
 
 @dataclass
@@ -31,15 +35,26 @@ def _triples(bound: int):
                 yield ring.BrieskornTriple(a, b, c)
 
 
+@contextmanager
+def _recorded(result: SuiteResult, t: ring.BrieskornTriple):
+    """Record an InternalCheckError raised while checking t as a failure of t."""
+    try:
+        yield
+    except InternalCheckError as exc:
+        detail = str(exc)
+        result.failures.append(detail if detail.startswith(str(t)) else f"{t}: {detail}")
+
+
 def suite_nr_formula(bound: int) -> SuiteResult:
     """nr(m) closed form vs the staircase scan (which also certifies br = nr)."""
     result = SuiteResult("nr-formula-vs-staircase")
     for t in _triples(bound):
         result.checks += 1
-        expected = filtration.normal_reduction_number(t)
-        scanned = filtration.nr_by_staircase_oracle(t)
-        if scanned != expected:
-            result.failures.append(f"{t}: scan {scanned} != formula {expected}")
+        with _recorded(result, t):
+            expected = filtration.normal_reduction_number(t)
+            scanned = filtration.nr_by_staircase_oracle(t)
+            if scanned != expected:
+                result.failures.append(f"{t}: scan {scanned} != formula {expected}")
     return result
 
 
@@ -69,22 +84,36 @@ def suite_membership_oracle(bound: int) -> SuiteResult:
 
 
 def suite_q_recursion(bound: int) -> SuiteResult:
-    """q-recursion, corrected q(m) sum, and the a = 2 closed form."""
+    """q_sequence vs the per-n q_value and the colength oracle for v_n, q(m), a = 2.
+
+    q_sequence itself re-checks the recursion 2 q_n + v_n = q_{n+1} + q_{n-1}.
+    """
     result = SuiteResult("q-recursion")
     for t in _triples(bound):
-        pg = genus.geometric_genus(t)
-        seq = filtration.q_sequence(t, pg)  # re-checks the recursion internally
         result.checks += 1
-        q_m = genus.q_of_m(t)
-        if seq.q[1] != q_m:
-            result.failures.append(f"{t}: q_1 = {seq.q[1]} != q(m) formula {q_m}")
-        if t.a == 2:
-            r = t.b // 2
-            for i in range(1, seq.br + 2):
+        with _recorded(result, t):
+            pg = genus.geometric_genus(t)
+            seq = filtration.q_sequence(t, pg)
+            q_m = genus.q_of_m(t)
+            if seq.q[1] != q_m:
+                result.failures.append(f"{t}: q_1 = {seq.q[1]} != q(m) formula {q_m}")
+            for n, v in enumerate(seq.v):
                 result.checks += 1
-                expected = pg - i * (r - 1) + comb(i, 2) if i <= r - 1 else pg - comb(r, 2)
-                if seq.q[i] != expected:
-                    result.failures.append(f"{t}: q({i}m) = {seq.q[i]} != {expected}")
+                oracle = filtration.colength_drop_oracle(t, n)
+                if v != oracle:
+                    result.failures.append(f"{t}: v_{n} = {v} != colength drop {oracle}")
+            for n, q in enumerate(seq.q):
+                result.checks += 1
+                expected = filtration.q_value(t, pg, n)
+                if q != expected:
+                    result.failures.append(f"{t}: q({n}m) = {q} != q_value {expected}")
+            if t.a == 2:
+                r = t.b // 2
+                for i in range(1, seq.br + 2):
+                    result.checks += 1
+                    expected = pg - i * (r - 1) + comb(i, 2) if i <= r - 1 else pg - comb(r, 2)
+                    if seq.q[i] != expected:
+                        result.failures.append(f"{t}: q({i}m) = {seq.q[i]} != {expected}")
     return result
 
 
@@ -93,13 +122,14 @@ def suite_hilbert(bound: int) -> SuiteResult:
     result = SuiteResult("hilbert-coefficients")
     for t in _triples(bound):
         result.checks += 1
-        e0, e1, e2 = filtration.normal_hilbert_coefficients(t)
-        if e0 != t.a:
-            result.failures.append(f"{t}: e0_bar = {e0}")
-        if t.a == 2:
-            r = t.b // 2
-            if (e0, e1, e2) != (2, r, comb(r, 2)):
-                result.failures.append(f"{t}: a=2 coefficients ({e0},{e1},{e2})")
+        with _recorded(result, t):
+            e0, e1, e2 = filtration.normal_hilbert_coefficients(t)
+            if e0 != t.a:
+                result.failures.append(f"{t}: e0_bar = {e0}")
+            if t.a == 2:
+                r = t.b // 2
+                if (e0, e1, e2) != (2, r, comb(r, 2)):
+                    result.failures.append(f"{t}: a=2 coefficients ({e0},{e1},{e2})")
     return result
 
 
@@ -107,19 +137,20 @@ def suite_fundamental_genus(bound: int) -> SuiteResult:
     """Closed-form p_f vs Laufer + adjunction, and the -Z^2 formula."""
     result = SuiteResult("fundamental-genus")
     for t in _triples(bound):
-        sd = resolution.seifert_data(t)
-        if sd.lam[2] > sd.alpha[0] * sd.alpha[1] * sd.alpha[2]:
-            continue
-        result.checks += 1
-        graph = resolution.build_dual_graph(sd)
-        by_formula = resolution.fundamental_genus_formula(t)
-        by_adjunction = resolution.fundamental_genus_oracle(graph)
-        if by_formula != by_adjunction:
-            result.failures.append(f"{t}: formula {by_formula} vs adjunction {by_adjunction}")
-        z = resolution.fundamental_cycle(graph)
-        minus_z2 = -resolution.cycle_self_intersection(graph, z)
-        if minus_z2 != resolution.expected_minus_z_squared(t):
-            result.failures.append(f"{t}: -Z^2 = {minus_z2}")
+        with _recorded(result, t):
+            sd = resolution.seifert_data(t)
+            if sd.lam[2] > sd.alpha[0] * sd.alpha[1] * sd.alpha[2]:
+                continue
+            result.checks += 1
+            graph = resolution.build_dual_graph(sd)
+            by_formula = resolution.fundamental_genus_formula(t)
+            by_adjunction = resolution.fundamental_genus_oracle(graph)
+            if by_formula != by_adjunction:
+                result.failures.append(f"{t}: formula {by_formula} vs adjunction {by_adjunction}")
+            z = resolution.fundamental_cycle(graph)
+            minus_z2 = -resolution.cycle_self_intersection(graph, z)
+            if minus_z2 != resolution.expected_minus_z_squared(t):
+                result.failures.append(f"{t}: -Z^2 = {minus_z2}")
     return result
 
 
@@ -133,24 +164,25 @@ def suite_negative_definite(bound: int) -> SuiteResult:
     result = SuiteResult("negative-definiteness")
     for t in _triples(min(bound, 12)):
         result.checks += 1
-        if not resolution.is_negative_definite(resolution.dual_graph(t)):
-            result.failures.append(f"{t}: intersection matrix not negative definite")
+        with _recorded(result, t):
+            if not resolution.is_negative_definite(resolution.dual_graph(t)):
+                result.failures.append(f"{t}: intersection matrix not negative definite")
     return result
 
 
 def suite_classification(bound: int) -> SuiteResult:
-    """Two-path elliptic and boundary classification; elliptic implies nr <= 2."""
+    """Two-path elliptic and boundary classification; elliptic implies nr <= 2.
+
+    Each path pair raises InternalCheckError on disagreement.
+    """
     result = SuiteResult("classification")
     for t in _triples(bound):
         result.checks += 1
-        try:
+        with _recorded(result, t):
             elliptic = classify.is_elliptic(t)
             classify.boundary_case(t)
-        except Exception as exc:  # path disagreement
-            result.failures.append(f"{t}: {exc}")
-            continue
-        if elliptic and filtration.normal_reduction_number(t) > 2:
-            result.failures.append(f"{t}: elliptic but nr(m) > 2")
+            if elliptic and filtration.normal_reduction_number(t) > 2:
+                result.failures.append(f"{t}: elliptic but nr(m) > 2")
     return result
 
 
@@ -164,20 +196,26 @@ def suite_certificates(bound: int) -> SuiteResult:
         for c in range(c_min, bound + 1):
             result.checks += 1
             t = ring.BrieskornTriple(a, b, c)
-            if not classify.verify_nr3_certificate(t):
-                result.failures.append(f"{t}: certificate failed")
-            elif classify.infer_nr_A(t)[0] != "lower_bound":
-                result.failures.append(f"{t}: certificate contradicts exact nr(A)")
+            with _recorded(result, t):
+                if not classify.verify_nr3_certificate(t):
+                    result.failures.append(f"{t}: certificate failed")
+                elif classify.infer_nr_A(t)[0] != "lower_bound":
+                    result.failures.append(f"{t}: certificate contradicts exact nr(A)")
     return result
 
 
 def suite_pg_bound(bound: int) -> SuiteResult:
-    """p_g >= C(nr(m), 2) + q(nr(m) * m)."""
+    """floor_sum p_g vs the direct lattice loop, and p_g >= C(nr(m), 2) + q(nr(m) * m)."""
     result = SuiteResult("pg-lower-bound")
     for t in _triples(bound):
-        result.checks += 1
-        if not genus.pg_lower_bound_check(t):
-            result.failures.append(f"{t}: p_g bound violated")
+        result.checks += 2
+        with _recorded(result, t):
+            pg = genus.geometric_genus(t)
+            oracle = genus.geometric_genus_oracle(t)
+            if pg != oracle:
+                result.failures.append(f"{t}: p_g = {pg} != lattice loop {oracle}")
+            if not genus.pg_lower_bound_check(t):
+                result.failures.append(f"{t}: p_g bound violated")
     return result
 
 

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from brieskorn import filtration, resolution
 from brieskorn.cli import build_parser, main
+from brieskorn.errors import InternalCheckError
 
 
 def run_cli(argv):
@@ -100,3 +102,34 @@ def test_main_smoke(capsys):
     assert main(["invariants", "2", "3", "7", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["pg"] == 1 and data["elliptic"] is True
+
+
+class TestInternalCheckError:
+    @pytest.mark.parametrize(
+        "argv", [["invariants", "3", "4", "7", "--json"], ["scan", "2", "3..4", "5..6"]]
+    )
+    def test_uncaught_error_exits_1_with_one_line(self, monkeypatch, capsys, argv):
+        def broken(t, pg):
+            raise InternalCheckError(f"{t}: injected")
+
+        monkeypatch.setattr(filtration, "q_sequence", broken)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("brieskorn: internal check failed: ")
+        assert "injected" in captured.err
+
+    def test_verify_records_it_as_a_failed_triple(self, monkeypatch, capsys):
+        def broken(graph):
+            raise InternalCheckError("injected")
+
+        monkeypatch.setattr(resolution, "fundamental_cycle", broken)
+        assert main(["verify", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        fail = [line for line in lines if line.startswith("FAIL fundamental-genus:")]
+        assert len(fail) == 1
+        assert "first: BrieskornTriple(" in fail[0] and fail[0].endswith(": injected")
+        assert lines[-1].startswith("FAIL total:")

@@ -95,6 +95,12 @@ class TestQSequence:
             assert seq.q[seq.br] == seq.q[seq.br + 1]
             assert all(seq.q[n] >= seq.q[n + 1] for n in range(seq.br + 1))
 
+    def test_matches_per_n_q_value(self):
+        for t in all_triples(20):
+            pg = geometric_genus(t)
+            seq = q_sequence(t, pg)
+            assert seq.q == tuple(q_value(t, pg, n) for n in range(seq.br + 2))
+
     def test_q_value_monotone_in_pg(self):
         t = new_triple(2, 6, 13)
         pg = geometric_genus(t)

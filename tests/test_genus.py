@@ -1,7 +1,13 @@
 from itertools import product
 from math import comb
 
-from brieskorn.genus import geometric_genus, pg_lower_bound_check, q_of_m, v_tail_sum
+from brieskorn.filtration import q_sequence
+from brieskorn.genus import (
+    geometric_genus,
+    geometric_genus_oracle,
+    pg_lower_bound_check,
+    q_of_m,
+)
 from brieskorn.ring import BrieskornTriple, new_triple
 
 
@@ -65,6 +71,14 @@ class TestGeometricGenus:
         for t in all_triples(9):
             assert geometric_genus(t) == brute_force_pg(t)
 
+    def test_agrees_with_lattice_loop_oracle(self):
+        for t in all_triples(20):
+            assert geometric_genus(t) == geometric_genus_oracle(t)
+
+    def test_golden_large_triple(self):
+        # value of the direct t0/t1 lattice loop
+        assert geometric_genus(new_triple(500, 700, 900)) == 52145700
+
     def test_monotone_in_c(self):
         for a in range(2, 6):
             for b in range(a, 8):
@@ -87,7 +101,8 @@ class TestQOfM:
 
     def test_tail_matches_termwise_sum(self):
         for t in all_triples(14):
-            assert geometric_genus(t) - q_of_m(t) == v_tail_sum(t)
+            pg = geometric_genus(t)
+            assert pg - q_of_m(t) == sum(q_sequence(t, pg).v[1:])
 
 
 class TestPgLowerBound:

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from brieskorn.numtheory import hj_evaluate, hj_expand, mod_inverse_negation
+from brieskorn.numtheory import floor_sum, hj_evaluate, hj_expand, mod_inverse_negation
 
 
 def test_expand_known_values():
@@ -67,3 +67,15 @@ def test_mod_inverse_negation_property(lam, alpha):
     beta = mod_inverse_negation(lam, alpha)
     assert 0 <= beta < alpha or (alpha == 1 and beta == 0)
     assert (lam * beta + 1) % alpha == 0
+
+
+@given(st.integers(0, 60), st.integers(1, 60), st.integers(-200, 200), st.integers(-200, 200))
+def test_floor_sum_matches_direct_sum(n, m, a, b):
+    assert floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+def test_floor_sum_rejects_bad_input():
+    with pytest.raises(ValueError):
+        floor_sum(-1, 3, 1, 1)
+    with pytest.raises(ValueError):
+        floor_sum(3, 0, 1, 1)
