@@ -24,7 +24,7 @@ from .filtration import (
     nr_by_staircase_oracle,
     q_sequence,
 )
-from .genus import geometric_genus, pg_lower_bound_check, q_of_m
+from .genus import geometric_genus, pg_bound_holds, pg_lower_bound_check, q_of_m
 from .numtheory import HJFraction, hj_evaluate, hj_expand, mod_inverse_negation
 from .resolution import (
     Cycle,
@@ -47,6 +47,7 @@ from .ring import (
     contains,
     multiply_by_Q,
     new_triple,
+    power_membership_degree,
     power_membership_oracle,
 )
 

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from math import comb
 
 from . import classify, filtration, genus, resolution, verify
 from .errors import InternalCheckError
@@ -53,7 +52,7 @@ def _invariants_dict(t: BrieskornTriple) -> dict:
         "rees_normal": classify.rees_normal(t),
         "pg_ideal_m": classify.is_pg_ideal_m(t),
         "nr_A": {"status": status, "value": value},
-        "pg_bound_holds": pg >= comb(seq.nr, 2) + seq.q[seq.nr],
+        "pg_bound_holds": genus.pg_bound_holds(pg, seq),
     }
 
 
@@ -203,9 +202,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:  # built on first use, not at import, and reused after
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args, sys.stdout)
     except ValueError as exc:

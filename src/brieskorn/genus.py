@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import InternalCheckError
-from .filtration import q_sequence
+from .filtration import QSequence, q_sequence
 from .numtheory import floor_sum
 from .ring import BrieskornTriple
 
@@ -66,9 +66,13 @@ def q_of_m(t: BrieskornTriple) -> int:
     return q
 
 
-def pg_lower_bound_check(t: BrieskornTriple) -> bool:
-    """p_g >= C(nr(m), 2) + q(nr(m) * m)."""
-    pg = geometric_genus(t)
-    seq = q_sequence(t, pg)
+def pg_bound_holds(pg: int, seq: QSequence) -> bool:
+    """p_g >= C(nr(m), 2) + q(nr(m) * m), for p_g and its q-sequence."""
     r = seq.nr
     return pg >= comb(r, 2) + seq.q[r]
+
+
+def pg_lower_bound_check(t: BrieskornTriple) -> bool:
+    """pg_bound_holds for the triple's own p_g and q-sequence."""
+    pg = geometric_genus(t)
+    return pg_bound_holds(pg, q_sequence(t, pg))

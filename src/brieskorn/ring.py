@@ -6,6 +6,12 @@ shape sum_k x^k * Q^{e_k} with Q = (y, z); such an ideal is encoded by its
 per-level thresholds e_0, ..., e_{a-1}, and a monomial x^k y^i z^j belongs
 to it exactly when i + j >= e_k.  This covers all closures of powers of the
 maximal ideal and their Q-multiples.
+
+The independent membership oracle raises a monomial to the a-th power and
+reads off, for each level k and power n, the least total degree i + j that
+puts x^k y^i z^j in the closure of m^n (power_membership_degree).  Membership
+is a threshold test in i + j on both sides, so verify compares that degree
+with the staircase threshold e_k once per (triple, k, n).
 """
 
 from __future__ import annotations
@@ -45,6 +51,13 @@ class BrieskornTriple:
     def n_seq(self) -> tuple[int, ...]:
         """n_k = floor(k*b/a) for k = 0..a-1; strictly increasing from k = 1 on."""
         return tuple(k * self.b // self.a for k in range(self.a))
+
+    @cached_property
+    def expansion_min_degrees(self) -> tuple[int, ...]:
+        """Least (y, z)-degree of a term of (y^b + z^c)^k = (-x^a)^k, k = 0..a-1."""
+        return tuple(
+            min(self.b * s + self.c * (k - s) for s in range(k + 1)) for k in range(self.a)
+        )
 
     @property
     def q0(self) -> int:
@@ -145,18 +158,27 @@ def colength(ideal: StaircaseIdeal) -> int:
     return total
 
 
-def power_membership_oracle(t: BrieskornTriple, m: Monomial, n: int) -> bool:
-    """Integral-closure membership by raising to the a-th power.
+def power_membership_degree(t: BrieskornTriple, k: int, n: int) -> int:
+    """Least i + j with x^k y^i z^j in the closure of m^n, by the a-th power.
 
     (x^k y^i z^j)^a rewrites as (-1)^k (y^b + z^c)^k y^{ai} z^{aj}; the
     monomial lies in the closure of m^n iff every term of that expansion has
-    (y, z)-degree at least n*a.  Independent of the staircase description.
+    (y, z)-degree at least n*a, i.e. iff min_term + a*(i + j) >= n*a with
+    min_term = t.expansion_min_degrees[k].  Derived from the expansion alone,
+    independent of the staircase thresholds; lies in 0..n.
     """
     if n < 1:
         raise ValueError(f"power must be positive, got {n}")
-    if m.k >= t.a:
-        raise ValueError(f"x-exponent {m.k} exceeds a-1 = {t.a - 1}")
-    min_term = min(
-        (t.b * s + t.c * (m.k - s) for s in range(m.k + 1)), default=0
-    )
-    return min_term + t.a * (m.i + m.j) >= n * t.a
+    if not 0 <= k < t.a:
+        raise ValueError(f"x-exponent {k} outside 0..{t.a - 1}")
+    # ceil((n*a - min_term) / a), clamped at 0
+    return max(0, -((t.expansion_min_degrees[k] - n * t.a) // t.a))
+
+
+def power_membership_oracle(t: BrieskornTriple, m: Monomial, n: int) -> bool:
+    """Integral-closure membership by raising to the a-th power.
+
+    Both this test and `contains` depend on i, j only through i + j and are
+    monotone in it, so the oracle is the threshold power_membership_degree.
+    """
+    return m.i + m.j >= power_membership_degree(t, m.k, n)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from brieskorn import filtration, resolution
+from brieskorn import cli, filtration, resolution
 from brieskorn.cli import build_parser, main
 from brieskorn.errors import InternalCheckError
 
@@ -96,6 +96,44 @@ class TestVerify:
 
     def test_bad_bound_exits_2(self):
         assert main(["verify", "1"]) == 2
+
+
+class TestParserReuse:
+    CALLS = [
+        ["invariants", "3", "4", "7", "--json"],
+        ["scan", "2", "3..4", "5..6"],
+        ["scan", "2", "x..3", "4"],
+        ["invariants", "3", "4", "7", "--json"],
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_reused_parser_matches_a_fresh_one(self, monkeypatch, capsys):
+        builds = []
+
+        def counted_build():
+            builds.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted_build)
+        monkeypatch.setattr(cli, "_parser", None)
+        reused = [self.outcome(capsys, argv) for argv in self.CALLS]
+        assert len(builds) == 1
+        fresh = []
+        for argv in self.CALLS:
+            monkeypatch.setattr(cli, "_parser", None)
+            fresh.append(self.outcome(capsys, argv))
+        assert [code for code, _, _ in reused] == [0, 0, 2, 0]
+        assert reused == fresh
+        assert reused[3] == reused[0]
+        assert reused[2][2].startswith("usage: brieskorn scan")
 
 
 def test_main_smoke(capsys):

@@ -11,6 +11,7 @@ from brieskorn.ring import (
     contains,
     multiply_by_Q,
     new_triple,
+    power_membership_degree,
     power_membership_oracle,
 )
 
@@ -146,6 +147,27 @@ class TestPowerMembershipOracle:
                     for s in range(n + 1):
                         m = Monomial(k, s - s // 2, s // 2)
                         assert contains(ideal, m) == power_membership_oracle(t, m, n)
+
+    def test_degree_is_where_the_oracle_turns_true(self):
+        for t in all_triples(12):
+            for k in range(t.a):
+                for n in range(1, t.n_seq[t.a - 1] + 3):
+                    degree = power_membership_degree(t, k, n)
+                    assert 0 <= degree <= n
+                    # least s with every term of (y^b + z^c)^k y^{as} of degree >= n*a
+                    assert degree == min(
+                        s for s in range(n + 1)
+                        if all(t.b * r + t.c * (k - r) + t.a * s >= n * t.a for r in range(k + 1))
+                    )
+                    assert power_membership_oracle(t, Monomial(k, degree, 0), n)
+                    if degree:
+                        assert not power_membership_oracle(t, Monomial(k, 0, degree - 1), n)
+
+    def test_degree_rejects_bad_arguments(self):
+        t = new_triple(3, 4, 7)
+        for k, n in [(0, 0), (-1, 1), (3, 1)]:
+            with pytest.raises(ValueError):
+                power_membership_degree(t, k, n)
 
     def test_socle_lemma(self):
         # x^k lies in closure(m^n) iff n <= n_k

@@ -1,7 +1,7 @@
 """The oracles that run only in verify still catch a wrong hot-path value."""
 
-from brieskorn import filtration, genus
-from brieskorn.verify import suite_pg_bound, suite_q_recursion
+from brieskorn import filtration, genus, ring
+from brieskorn.verify import suite_membership_oracle, suite_pg_bound, suite_q_recursion
 
 
 def test_q_recursion_suite_catches_a_wrong_colength_drop(monkeypatch):
@@ -23,3 +23,33 @@ def test_pg_bound_suite_catches_a_wrong_geometric_genus(monkeypatch):
     result = suite_pg_bound(5)
     assert not result.passed
     assert all("lattice loop" in failure for failure in result.failures)
+
+
+def test_membership_suite_catches_one_wrong_threshold(monkeypatch):
+    exact = ring.closure_of_m_power
+    target, k, n = ring.BrieskornTriple(3, 4, 7), 0, 2
+
+    def off_once(t, power):
+        # e_0 = 2 here, so x^0 stays outside the ideal and the socle test is blind
+        ideal = exact(t, power)
+        if (t, power) != (target, n):
+            return ideal
+        e = list(ideal.thresholds)
+        e[k] += 1
+        return ring.StaircaseIdeal(t, tuple(e))
+
+    monkeypatch.setattr(ring, "closure_of_m_power", off_once)
+    result = suite_membership_oracle(7)
+    assert len(result.failures) == 1
+    assert result.failures[0].startswith(str(target))
+    assert f"k={k}, n={n}" in result.failures[0]
+
+
+def test_membership_suite_catches_a_wrong_expansion_degree(monkeypatch):
+    exact = ring.power_membership_degree
+    monkeypatch.setattr(
+        ring, "power_membership_degree", lambda t, k, n: exact(t, k, n) + (k >= 1)
+    )
+    result = suite_membership_oracle(5)
+    assert not result.passed
+    assert all("expansion degree" in failure for failure in result.failures)
