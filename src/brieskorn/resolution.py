@@ -5,14 +5,20 @@ with ghat_1 + ghat_2 + ghat_3 chains of rational curves attached.  For each
 w the chain weights are the HJ expansion of alpha_w / beta_w, repeated in
 ghat_w identical copies; the branch is empty when alpha_w = 1.
 
-The fundamental cycle is computed by the standard computation sequence:
-start at the all-ones cycle and bump any coefficient whose pairing with the
-cycle is still positive.  The minimal anti-nef cycle is unique, so the bump
-order is irrelevant; we take the lowest index.
+The fundamental cycle is computed in closed form on the star: after an
+O(#chains) definiteness check (the orbifold Euler number e must be < 0), the
+center coefficient is the least x whose chain ceilings ceil(x r_j / alpha)
+keep the center pairing <= 0, and the result is checked anti-nef.  Laufer's
+computation sequence (start at the all-ones cycle and bump any coefficient
+whose pairing with the cycle is still positive) is its oracle in `verify`,
+with a step bound proved from the closed-form cycle.  Definiteness of the
+whole graph is checked by exact leaf-to-center elimination on the tree, with
+the dense Bareiss minor test as its oracle.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -139,16 +145,67 @@ def dual_graph(t: BrieskornTriple) -> DualGraph:
 
 @lru_cache(maxsize=None)
 def fundamental_cycle(g: DualGraph) -> Cycle:
-    """Laufer's computation sequence from the all-ones cycle."""
+    """Minimal anti-nef cycle Z_min of the star, in closed form.
+
+    For chain weights b_1..b_s (center outward), the continuant remainders
+    r_{s+1} = 0, r_s = 1, r_{j-1} = b_j r_j - r_{j+1} give alpha = r_0 and
+    beta = r_1.  The star is negative definite iff every r_j > 0 and the
+    orbifold Euler number e = -c_0 + sum beta/alpha over the chains is < 0.
+    A cycle with center coefficient x that is anti-nef at the chain vertices
+    is >= x r_j / alpha at chain vertex j (the chain's form is negative
+    definite), so >= ceil(x r_j / alpha).  Hence Z_min's center coefficient
+    satisfies sum ceil(x beta/alpha) <= c_0 x; the least such x >= 1 with
+    those ceilings, once checked anti-nef, is Z_min.  The search stops by
+    x = #chains/|e|, since each ceiling exceeds x beta/alpha by less than 1.
+    """
+    chains: dict[tuple[int, int], list[int]] = {}
+    for i, info in enumerate(g.branch_index):
+        if info is not None:
+            chains.setdefault(info[:2], []).append(i)
+    weights = {key: tuple(-g.vertices[i][0] for i in chain) for key, chain in chains.items()}
+    copies = Counter(weights.values())
+    remainders: dict[tuple[int, ...], list[int]] = {}
+    for kind in copies:
+        r = [0, 1]  # r_{s+1}, r_s, then r_{s-1}, ..., r_0
+        for b in reversed(kind):
+            r.append(b * r[-1] - r[-2])
+        remainders[kind] = r[:0:-1]  # r_0, ..., r_s
+    terms = [(m, remainders[w][1], remainders[w][0]) for w, m in copies.items()]
+    c0 = -g.vertices[0][0]
+    e = -c0 + sum(Fraction(m * beta, alpha) for m, beta, alpha in terms)
+    if e >= 0 or any(min(r) <= 0 for r in remainders.values()):
+        raise InternalCheckError(f"star is not negative definite (e = {e})")
+
+    x = 1
+    while sum(m * -(-x * beta // alpha) for m, beta, alpha in terms) > c0 * x:
+        x += 1
+    z = [x] * len(g.vertices)
+    for key, chain in chains.items():
+        r = remainders[weights[key]]
+        for j, i in enumerate(chain, 1):
+            z[i] = -(-x * r[j] // r[0])
+    cycle = Cycle(tuple(z))
+    if min(z) < 1 or any(cycle_pairing(g, cycle, i) > 0 for i in range(len(z))):
+        raise InternalCheckError("closed-form fundamental cycle is not positive and anti-nef")
+    return cycle
+
+
+def laufer_cycle(g: DualGraph) -> Cycle:
+    """Laufer's computation sequence from the all-ones cycle: the oracle for fundamental_cycle.
+
+    Every cycle Z of the sequence stays below any positive anti-nef cycle Y:
+    a bump at i with z_i = y_i would give Y.E_i >= Z.E_i > 0.  So with Y the
+    closed-form cycle, which is checked anti-nef before it is returned, the
+    sequence stops within sum(Y) - n steps.  Y only bounds the steps: a wrong
+    Y can make this raise, never return a different cycle.
+    """
     n = len(g.vertices)
     z = [1] * n
     # pairing[i] = Z . E_i, maintained incrementally; the minimal anti-nef
     # cycle is unique, so the order of bumps does not matter
     pairing = [g.vertices[i][0] + len(g.neighbors[i]) for i in range(n)]
     worklist = [i for i in range(n) if pairing[i] > 0]
-    # cap must dominate sum(z_i - 1); coefficients on valid graphs have been
-    # observed above sum(|w|), so the guard is quadratic in the vertex count
-    cap = sum(-w for w, _ in g.vertices) * n * n
+    cap = sum(fundamental_cycle(g).coefficients) - n
     steps = 0
     while worklist:
         i = worklist.pop()
@@ -165,7 +222,7 @@ def fundamental_cycle(g: DualGraph) -> Cycle:
         steps += 1
         if steps > cap:
             raise InternalCheckError(
-                "fundamental cycle did not terminate; graph is not negative definite"
+                f"Laufer's sequence passed its bound of {cap} steps"
             )
     return Cycle(tuple(z))
 
@@ -216,7 +273,7 @@ def fundamental_genus_formula(t: BrieskornTriple) -> int:
 
 @lru_cache(maxsize=None)
 def fundamental_genus(t: BrieskornTriple) -> int:
-    """p_f via the closed form when applicable, otherwise via Laufer + adjunction."""
+    """p_f via the closed form when applicable, otherwise via Z + adjunction."""
     try:
         return fundamental_genus_formula(t)
     except FormulaInapplicableError:
@@ -258,6 +315,33 @@ def is_negative_definite(g: DualGraph) -> bool:
     return all(
         (minor > 0 if k % 2 == 1 else minor < 0) for k, minor in enumerate(minors)
     )
+
+
+def is_negative_definite_tree(g: DualGraph) -> bool:
+    """Exact leaf-to-center elimination on the tree: O(V) Fraction steps.
+
+    Eliminating leaves first creates no fill-in, so vertex i's pivot is
+    w_i - sum(1 / pivot_c) over its children c.  The pivots are the ratios
+    of consecutive leading minors in that order, so the form is negative
+    definite iff every pivot is < 0.  `is_negative_definite` is its oracle.
+    """
+    n = len(g.vertices)
+    parent: list[int | None] = [None] * n
+    order = [0]
+    for i in order:
+        for j in g.neighbors[i]:
+            if j != 0 and parent[j] is None:
+                parent[j] = i
+                order.append(j)
+    if len(order) != n or sum(map(len, g.neighbors)) != 2 * (n - 1):
+        raise InternalCheckError("dual graph is not a tree")
+    pivot = [Fraction(w) for w, _ in g.vertices]
+    for i in reversed(order):
+        if pivot[i] >= 0:
+            return False
+        if parent[i] is not None:
+            pivot[parent[i]] -= 1 / pivot[i]
+    return True
 
 
 def to_dot(g: DualGraph) -> str:

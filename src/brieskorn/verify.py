@@ -137,20 +137,30 @@ def suite_hilbert(bound: int) -> SuiteResult:
 
 
 def suite_fundamental_genus(bound: int) -> SuiteResult:
-    """Closed-form p_f vs Laufer + adjunction, and the -Z^2 formula."""
+    """Closed-form Z vs Laufer's computation sequence on every triple; where the
+    p_f formula applies, closed-form p_f vs adjunction on Z, and the -Z^2 formula.
+    """
     result = SuiteResult("fundamental-genus")
     for t in _triples(bound):
+        result.checks += 1
         with _recorded(result, t):
             sd = resolution.seifert_data(t)
+            graph = resolution.build_dual_graph(sd)
+            z = resolution.fundamental_cycle(graph)
+            laufer = resolution.laufer_cycle(graph)
+            for i, (x, y) in enumerate(zip(z.coefficients, laufer.coefficients)):
+                if x != y:
+                    result.failures.append(
+                        f"{t}: closed-form Z has {x} at vertex {i}, Laufer's sequence {y}"
+                    )
+                    break
             if sd.lam[2] > sd.alpha[0] * sd.alpha[1] * sd.alpha[2]:
                 continue
             result.checks += 1
-            graph = resolution.build_dual_graph(sd)
             by_formula = resolution.fundamental_genus_formula(t)
             by_adjunction = resolution.fundamental_genus_oracle(graph)
             if by_formula != by_adjunction:
                 result.failures.append(f"{t}: formula {by_formula} vs adjunction {by_adjunction}")
-            z = resolution.fundamental_cycle(graph)
             minus_z2 = -resolution.cycle_self_intersection(graph, z)
             if minus_z2 != resolution.expected_minus_z_squared(t):
                 result.failures.append(f"{t}: -Z^2 = {minus_z2}")
@@ -158,18 +168,17 @@ def suite_fundamental_genus(bound: int) -> SuiteResult:
 
 
 def suite_negative_definite(bound: int) -> SuiteResult:
-    """Exact principal-minor test on every constructed intersection matrix.
+    """Leaf-to-center elimination on every constructed dual graph.
 
-    Capped at 12 regardless of the requested bound, since the minor computation
-    is cubic in the vertex count.  Larger graphs are not checked here: the step
-    cap in the fundamental-cycle iteration is a heuristic, not a definiteness
-    test, and it also stops on some valid triples with larger exponents.
+    The graph is a tree, so the exact elimination costs O(V) per triple and
+    covers every triple up to the bound.  The dense Bareiss minor test
+    (`resolution.is_negative_definite`) is its oracle in the tests.
     """
     result = SuiteResult("negative-definiteness")
-    for t in _triples(min(bound, 12)):
+    for t in _triples(bound):
         result.checks += 1
         with _recorded(result, t):
-            if not resolution.is_negative_definite(resolution.dual_graph(t)):
+            if not resolution.is_negative_definite_tree(resolution.dual_graph(t)):
                 result.failures.append(f"{t}: intersection matrix not negative definite")
     return result
 

@@ -1,7 +1,8 @@
 import pytest
 
-from brieskorn.errors import FormulaInapplicableError
+from brieskorn.errors import FormulaInapplicableError, InternalCheckError
 from brieskorn.resolution import (
+    DualGraph,
     canonical_degree,
     cycle_pairing,
     cycle_self_intersection,
@@ -12,6 +13,8 @@ from brieskorn.resolution import (
     fundamental_genus_formula,
     fundamental_genus_oracle,
     is_negative_definite,
+    is_negative_definite_tree,
+    laufer_cycle,
     leading_principal_minors,
     seifert_data,
     to_dot,
@@ -25,6 +28,26 @@ def all_triples(bound: int):
         for b in range(a, bound + 1):
             for c in range(b, bound + 1):
                 yield BrieskornTriple(a, b, c)
+
+
+def star(center: int, chains: list[list[int]]) -> DualGraph:
+    """A hand-built star of genus-0 curves; each chain is listed center outward."""
+    vertices: list[tuple[int, int]] = [(center, 0)]
+    neighbors: list[list[int]] = [[]]
+    branch_index: list[tuple[int, int, int] | None] = [None]
+    for copy, chain in enumerate(chains):
+        previous = 0
+        for position, weight in enumerate(chain):
+            vertices.append((weight, 0))
+            neighbors.append([previous])
+            neighbors[previous].append(len(vertices) - 1)
+            branch_index.append((1, copy, position))
+            previous = len(vertices) - 1
+    return DualGraph(tuple(vertices), tuple(map(tuple, neighbors)), tuple(branch_index))
+
+
+# e = -1 + 1/2 + 1/2 = 0 (semi-definite) and e = -1 + 3/2 > 0 (indefinite)
+NOT_NEGATIVE_DEFINITE = [star(-1, [[-2], [-2]]), star(-1, [[-2], [-2], [-2]])]
 
 
 class TestSeifertData:
@@ -120,6 +143,27 @@ class TestFundamentalCycle:
             g = dual_graph(t)
             assert cycle_self_intersection(g, fundamental_cycle(g)) < 0
 
+    def test_closed_form_matches_laufer(self):
+        for t in all_triples(25):
+            g = dual_graph(t)
+            assert fundamental_cycle(g) == laufer_cycle(g), t
+
+    @pytest.mark.parametrize(
+        "triple, bumps",
+        # both once stopped at the old heuristic step cap sum(|w|) * n^2
+        [((35, 47, 52), 4014), ((97, 101, 103), 26585)],
+    )
+    def test_past_the_old_step_cap(self, triple, bumps):
+        g = dual_graph(new_triple(*triple))
+        z = fundamental_cycle(g)
+        assert z == laufer_cycle(g)
+        assert sum(z.coefficients) - len(g.vertices) == bumps
+
+    def test_not_negative_definite_star_raises(self):
+        for g in NOT_NEGATIVE_DEFINITE:
+            with pytest.raises(InternalCheckError, match="not negative definite"):
+                fundamental_cycle(g)
+
 
 class TestFundamentalGenus:
     def test_known_values(self):
@@ -174,6 +218,14 @@ class TestNegativeDefiniteness:
                 return [[-2, 3], [3, -2]]
 
         assert not is_negative_definite(Fake())
+
+    def test_tree_elimination_matches_bareiss(self):
+        for t in all_triples(12):
+            g = dual_graph(t)
+            assert is_negative_definite_tree(g) == is_negative_definite(g), t
+        for g in NOT_NEGATIVE_DEFINITE:
+            assert not is_negative_definite(g)
+            assert not is_negative_definite_tree(g)
 
 
 class TestSerialization:

@@ -1,7 +1,13 @@
 """The oracles that run only in verify still catch a wrong hot-path value."""
 
-from brieskorn import filtration, genus, ring
-from brieskorn.verify import suite_membership_oracle, suite_pg_bound, suite_q_recursion
+from brieskorn import filtration, genus, resolution, ring
+from brieskorn.verify import (
+    suite_fundamental_genus,
+    suite_membership_oracle,
+    suite_negative_definite,
+    suite_pg_bound,
+    suite_q_recursion,
+)
 
 
 def test_q_recursion_suite_catches_a_wrong_colength_drop(monkeypatch):
@@ -53,3 +59,33 @@ def test_membership_suite_catches_a_wrong_expansion_degree(monkeypatch):
     result = suite_membership_oracle(5)
     assert not result.passed
     assert all("expansion degree" in failure for failure in result.failures)
+
+
+def test_fundamental_genus_suite_catches_a_non_minimal_cycle(monkeypatch):
+    exact = resolution.fundamental_cycle
+    target = ring.BrieskornTriple(10, 12, 15)
+    doubled = resolution.dual_graph(target)
+
+    def twice_once(g):
+        # 2 Z_min is anti-nef too, and the p_f formula does not apply to the
+        # target, so only Laufer's sequence can see this
+        z = exact(g)
+        return resolution.Cycle(tuple(2 * c for c in z.coefficients)) if g == doubled else z
+
+    monkeypatch.setattr(resolution, "fundamental_cycle", twice_once)
+    result = suite_fundamental_genus(15)
+    assert len(result.failures) == 1
+    assert result.failures[0].startswith(str(target))
+    assert "Laufer" in result.failures[0]
+
+
+def test_negative_definite_suite_checks_past_exponent_12(monkeypatch):
+    exact = resolution.is_negative_definite_tree
+    target = ring.BrieskornTriple(13, 14, 15)
+    rejected = resolution.dual_graph(target)
+    monkeypatch.setattr(
+        resolution, "is_negative_definite_tree", lambda g: g != rejected and exact(g)
+    )
+    result = suite_negative_definite(15)
+    assert len(result.failures) == 1
+    assert result.failures[0].startswith(str(target))
