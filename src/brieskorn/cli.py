@@ -41,7 +41,7 @@ def _invariants_dict(t: BrieskornTriple) -> dict:
         "pg": pg,
         "pf": resolution.fundamental_genus(t),
         "nr_m": seq.nr,
-        "br_m": seq.br,
+        "br_m": seq.nr,
         "q_m": genus.q_of_m(t),
         "q_sequence": list(seq.q),
         "v_sequence": list(seq.v),

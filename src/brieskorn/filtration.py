@@ -25,10 +25,9 @@ class QSequence:
 
     triple: BrieskornTriple
     pg: int
-    nr: int
-    br: int
-    v: tuple[int, ...]  # v_n for n = 0..br
-    q: tuple[int, ...]  # q(n*m) for n = 0..br+1
+    nr: int  # nr(m) = br(m)
+    v: tuple[int, ...]  # v_n for n = 0..nr
+    q: tuple[int, ...]  # q(n*m) for n = 0..nr+1
     hilbert: tuple[int, int, int]  # (e0_bar, e1_bar, e2_bar)
 
 
@@ -107,7 +106,6 @@ def q_sequence(t: BrieskornTriple, pg: int) -> QSequence:
         triple=t,
         pg=pg,
         nr=br,
-        br=br,
         v=v,
         q=tuple(q),
         hilbert=normal_hilbert_coefficients(t),

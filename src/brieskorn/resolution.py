@@ -8,7 +8,10 @@ ghat_w identical copies; the branch is empty when alpha_w = 1.
 The fundamental cycle is computed in closed form on the star: after an
 O(#chains) definiteness check (the orbifold Euler number e must be < 0), the
 center coefficient is the least x whose chain ceilings ceil(x r_j / alpha)
-keep the center pairing <= 0, and the result is checked anti-nef.  Laufer's
+keep the center pairing <= 0, and the result is checked anti-nef.  The search
+for x skips every x that a chain kind provably rules out (gcd(alpha, beta) = 1
+forces alpha | x while the kind's m copies give m/alpha > |e| x), so it tests
+a few candidates instead of every x up to the center coefficient.  Laufer's
 computation sequence (start at the all-ones cycle and bump any coefficient
 whose pairing with the cycle is still positive) is its oracle in `verify`,
 with a step bound proved from the closed-form cycle.  Definiteness of the
@@ -22,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import ceil, gcd, lcm
 
 from .errors import FormulaInapplicableError, InternalCheckError
 from .numtheory import hj_expand, mod_inverse_negation
@@ -157,6 +160,17 @@ def fundamental_cycle(g: DualGraph) -> Cycle:
     satisfies sum ceil(x beta/alpha) <= c_0 x; the least such x >= 1 with
     those ceilings, once checked anti-nef, is Z_min.  The search stops by
     x = #chains/|e|, since each ceiling exceeds x beta/alpha by less than 1.
+
+    The search skips every x that provably fails.  Consecutive remainders
+    are coprime (gcd(r_{j-1}, r_j) = gcd(r_j, r_{j+1}) = ... = gcd(1, 0)), so
+    gcd(alpha, beta) = 1.  Summed over the chain kinds, a kind with m
+    identical copies, the inequality reads
+    sum m ((-x beta) mod alpha) / alpha <= |e| x.  If alpha does not divide
+    x, it does not divide x beta, so the kind adds at least m/alpha; hence
+    every kind with m/alpha > |e| x forces alpha | x.  That forced set
+    only shrinks as x grows, at the thresholds ceil(m / (alpha |e|)).  So x is
+    rounded up to a multiple of the forced alphas' lcm, but never past the
+    next threshold, and tested; the result is still the least x that passes.
     """
     chains: dict[tuple[int, int], list[int]] = {}
     for i, info in enumerate(g.branch_index):
@@ -176,8 +190,15 @@ def fundamental_cycle(g: DualGraph) -> Cycle:
     if e >= 0 or any(min(r) <= 0 for r in remainders.values()):
         raise InternalCheckError(f"star is not negative definite (e = {e})")
 
+    thresholds = [(ceil(m / (alpha * -e)), alpha) for m, _, alpha in terms]
     x = 1
-    while sum(m * -(-x * beta // alpha) for m, beta, alpha in terms) > c0 * x:
+    while True:
+        forced = [(threshold, alpha) for threshold, alpha in thresholds if threshold > x]
+        if forced:
+            step = lcm(*(alpha for _, alpha in forced))
+            x = min(-(-x // step) * step, min(threshold for threshold, _ in forced))
+        if sum(m * -(-x * beta // alpha) for m, beta, alpha in terms) <= c0 * x:
+            break
         x += 1
     z = [x] * len(g.vertices)
     for key, chain in chains.items():

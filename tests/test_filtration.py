@@ -79,7 +79,7 @@ class TestQSequence:
         assert seq.pg == 1
         assert seq.v == (1, 1, 0)
         assert seq.q == (1, 0, 0, 0)
-        assert seq.nr == seq.br == 2
+        assert seq.nr == 2
 
     def test_347(self):
         t = new_triple(3, 4, 7)
@@ -92,14 +92,14 @@ class TestQSequence:
         for t in all_triples(12):
             seq = q_sequence(t, geometric_genus(t))
             assert seq.q[0] == seq.pg
-            assert seq.q[seq.br] == seq.q[seq.br + 1]
-            assert all(seq.q[n] >= seq.q[n + 1] for n in range(seq.br + 1))
+            assert seq.q[seq.nr] == seq.q[seq.nr + 1]
+            assert all(seq.q[n] >= seq.q[n + 1] for n in range(seq.nr + 1))
 
     def test_matches_per_n_q_value(self):
         for t in all_triples(20):
             pg = geometric_genus(t)
             seq = q_sequence(t, pg)
-            assert seq.q == tuple(q_value(t, pg, n) for n in range(seq.br + 2))
+            assert seq.q == tuple(q_value(t, pg, n) for n in range(seq.nr + 2))
 
     def test_q_value_monotone_in_pg(self):
         t = new_triple(2, 6, 13)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from brieskorn.errors import FormulaInapplicableError, InternalCheckError
@@ -158,6 +160,25 @@ class TestFundamentalCycle:
         z = fundamental_cycle(g)
         assert z == laufer_cycle(g)
         assert sum(z.coefficients) - len(g.vertices) == bumps
+
+    @pytest.mark.parametrize(
+        "triple, center, total",
+        # every chain kind is forced at x = 1, so the search jumps to the
+        # least threshold, which is the center coefficient a * b
+        [((107, 116, 119), 12412, 693596), ((91, 94, 115), 8554, 23004)],
+    )
+    def test_large_center_coefficient(self, triple, center, total):
+        g = dual_graph(new_triple(*triple))
+        z = fundamental_cycle(g)
+        assert z == laufer_cycle(g)
+        assert (z.coefficients[0], sum(z.coefficients)) == (center, total)
+
+    def test_closed_form_matches_laufer_on_a_sample_to_120(self):
+        rng = random.Random(120)
+        for _ in range(50):
+            t = new_triple(*sorted(rng.randint(30, 120) for _ in range(3)))
+            g = dual_graph(t)
+            assert fundamental_cycle(g) == laufer_cycle(g), t
 
     def test_not_negative_definite_star_raises(self):
         for g in NOT_NEGATIVE_DEFINITE:

@@ -1,7 +1,8 @@
 """The oracles that run only in verify still catch a wrong hot-path value."""
 
-from brieskorn import filtration, genus, resolution, ring
+from brieskorn import classify, filtration, genus, resolution, ring
 from brieskorn.verify import (
+    run_all,
     suite_fundamental_genus,
     suite_membership_oracle,
     suite_negative_definite,
@@ -89,3 +90,18 @@ def test_negative_definite_suite_checks_past_exponent_12(monkeypatch):
     result = suite_negative_definite(15)
     assert len(result.failures) == 1
     assert result.failures[0].startswith(str(target))
+
+
+def test_failures_never_outnumber_checks(monkeypatch):
+    exact = resolution.fundamental_cycle
+    monkeypatch.setattr(
+        resolution,
+        "fundamental_cycle",
+        lambda g: resolution.Cycle(tuple(2 * c for c in exact(g).coefficients)),
+    )
+    # uncached p_f, so the doubled Z reaches classification and no cache keeps it
+    monkeypatch.setattr(classify, "fundamental_genus", resolution.fundamental_genus.__wrapped__)
+    results = run_all(12)
+    assert not all(result.passed for result in results)
+    for result in results:
+        assert len(result.failures) <= result.checks, result.name
