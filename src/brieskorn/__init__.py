@@ -2,19 +2,12 @@
 
 Computes the integral-closure filtration of powers of the maximal ideal,
 normal reduction numbers, geometric and fundamental genus, normal Hilbert
-coefficients, the resolution dual graph, and classification predicates,
-all in exact integer/rational arithmetic with independent cross-checks.
+coefficients, the resolution dual graph, and the classification, all in
+exact integer/rational arithmetic with independent cross-checks.
+`invariants(t)` gathers every reported invariant of a triple in one record.
 """
 
-from .classify import (
-    boundary_case,
-    infer_nr_A,
-    is_elliptic,
-    is_pg_ideal_m,
-    is_rational,
-    rees_normal,
-    verify_nr3_certificate,
-)
+from .classify import Invariants, invariants, verify_nr3_certificate
 from .errors import FormulaInapplicableError, InternalCheckError
 from .filtration import (
     QSequence,
@@ -24,7 +17,7 @@ from .filtration import (
     nr_by_staircase_oracle,
     q_sequence,
 )
-from .genus import geometric_genus, pg_bound_holds, pg_lower_bound_check, q_of_m
+from .genus import geometric_genus, pg_bound_holds, q_of_m
 from .numtheory import HJFraction, hj_evaluate, hj_expand, mod_inverse_negation
 from .resolution import (
     Cycle,
@@ -48,7 +41,6 @@ from .ring import (
     multiply_by_Q,
     new_triple,
     power_membership_degree,
-    power_membership_oracle,
 )
 
 __version__ = "0.1.0"

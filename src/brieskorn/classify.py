@@ -1,4 +1,4 @@
-"""Classification predicates for Brieskorn triples.
+"""One record per triple: p_g, the q-sequence and p_f, and the classification they decide.
 
 Wherever the source result gives both a computable criterion and an explicit
 family list (elliptic singularities, boundary cases p_g = C(nr, 2)), both
@@ -8,17 +8,28 @@ statements, not lookups.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import comb
 
+from . import filtration, genus, resolution
 from .errors import InternalCheckError
-from .filtration import normal_reduction_number
-from .genus import geometric_genus
-from .resolution import fundamental_genus
 from .ring import BrieskornTriple
 
 
-def is_rational(t: BrieskornTriple) -> bool:
-    return geometric_genus(t) == 0
+@dataclass(frozen=True)
+class Invariants:
+    """p_g, p_f and the q-sequence of one triple, and what they decide."""
+
+    pg: int
+    pf: int
+    seq: filtration.QSequence  # nr(m) = br(m), q(n*m), v_n, Hilbert coefficients
+    rational: bool  # p_g = 0
+    elliptic: bool  # p_f = 1, agreeing with the elliptic list
+    boundary: bool  # p_g = C(nr(m), 2), agreeing with the boundary list
+    rees_normal: bool  # br(m) = a - 1
+    pg_ideal_m: bool  # a = 2 and br(m) = 1, i.e. b in {2, 3}
+    nr_A: tuple[str, int]  # ("exact", nr) or ("lower_bound", nr)
+    pg_bound_holds: bool  # p_g >= C(nr(m), 2) + q(nr(m) * m)
 
 
 def in_elliptic_list(t: BrieskornTriple) -> bool:
@@ -31,26 +42,6 @@ def in_elliptic_list(t: BrieskornTriple) -> bool:
         or (a, b) == (3, 3)  # any c >= 3
         or (a, b) == (3, 4) and c <= 5
     )
-
-
-def is_elliptic(t: BrieskornTriple) -> bool:
-    by_genus = fundamental_genus(t) == 1
-    by_list = in_elliptic_list(t)
-    if by_genus != by_list:
-        raise InternalCheckError(
-            f"{t}: p_f path says {by_genus}, elliptic list says {by_list}"
-        )
-    return by_genus
-
-
-def rees_normal(t: BrieskornTriple) -> bool:
-    """The Rees algebra of m is normal iff br(m) = a - 1."""
-    return normal_reduction_number(t) == t.a - 1
-
-
-def is_pg_ideal_m(t: BrieskornTriple) -> bool:
-    """m is a p_g-ideal iff a = 2 and br(m) = 1 (i.e. b in {2, 3})."""
-    return t.a == 2 and t.n_seq[1] == 1
 
 
 def boundary_family_nr(t: BrieskornTriple) -> int | None:
@@ -80,29 +71,41 @@ def boundary_family_nr(t: BrieskornTriple) -> int | None:
     return None
 
 
-def boundary_case(t: BrieskornTriple) -> bool:
-    """p_g = C(nr(m), 2), verified against the family list."""
-    nr = normal_reduction_number(t)
-    by_count = geometric_genus(t) == comb(nr, 2)
+def invariants(t: BrieskornTriple) -> Invariants:
+    """Compute p_g, the q-sequence and p_f once each; check both classification paths.
+
+    nr(A) = nr(m) exactly when p_g < C(nr+1, 2), which covers every member of
+    the boundary list: there p_g = C(nr, 2) and, as checked here, nr(A) = nr.
+    """
+    pg = genus.geometric_genus(t)
+    seq = filtration.q_sequence(t, pg)
+    pf = resolution.fundamental_genus(t)
+    nr = seq.nr
+
+    elliptic = pf == 1
+    listed = in_elliptic_list(t)
+    if elliptic != listed:
+        raise InternalCheckError(f"{t}: p_f path says {elliptic}, elliptic list says {listed}")
+
+    boundary = pg == comb(nr, 2)
     family = boundary_family_nr(t)
-    if by_count != (family is not None):
+    if family != (nr if boundary else None):
         raise InternalCheckError(
-            f"{t}: p_g count says {by_count}, boundary list says {family is not None}"
+            f"{t}: p_g count says boundary {boundary} at nr(m) = {nr}, boundary list says {family}"
         )
-    if family is not None and family != nr:
-        raise InternalCheckError(f"{t}: listed nr(A) = {family} but nr(m) = {nr}")
-    return by_count
 
-
-def infer_nr_A(t: BrieskornTriple) -> tuple[str, int]:
-    """("exact", nr) when p_g < C(nr+1, 2) or the boundary list applies; else a lower bound."""
-    nr = normal_reduction_number(t)
-    family = boundary_family_nr(t)
-    if family is not None:
-        return ("exact", family)
-    if geometric_genus(t) < comb(nr + 1, 2):
-        return ("exact", nr)
-    return ("lower_bound", nr)
+    return Invariants(
+        pg=pg,
+        pf=pf,
+        seq=seq,
+        rational=pg == 0,
+        elliptic=elliptic,
+        boundary=boundary,
+        rees_normal=nr == t.a - 1,
+        pg_ideal_m=t.a == 2 and nr == 1,
+        nr_A=("exact" if pg < comb(nr + 1, 2) else "lower_bound", nr),
+        pg_bound_holds=genus.pg_bound_holds(pg, seq),
+    )
 
 
 def _in_reduction_power(u: int, v: int, n: int) -> bool:

@@ -14,7 +14,7 @@ import io
 import json
 import sys
 
-from . import classify, filtration, genus, resolution, verify
+from . import classify, resolution, verify
 from .errors import InternalCheckError
 from .ring import BrieskornTriple
 
@@ -30,29 +30,29 @@ def _dump_json(obj) -> str:
 
 
 def _invariants_dict(t: BrieskornTriple) -> dict:
-    pg = genus.geometric_genus(t)
-    seq = filtration.q_sequence(t, pg)
-    status, value = classify.infer_nr_A(t)
+    inv = classify.invariants(t)
+    seq = inv.seq
+    status, value = inv.nr_A
     e0, e1, e2 = seq.hilbert
     return {
         "a": t.a,
         "b": t.b,
         "c": t.c,
-        "pg": pg,
-        "pf": resolution.fundamental_genus(t),
+        "pg": inv.pg,
+        "pf": inv.pf,
         "nr_m": seq.nr,
         "br_m": seq.nr,
-        "q_m": genus.q_of_m(t),
+        "q_m": seq.q[1],
         "q_sequence": list(seq.q),
         "v_sequence": list(seq.v),
         "hilbert": {"e0": e0, "e1": e1, "e2": e2},
-        "rational": classify.is_rational(t),
-        "elliptic": classify.is_elliptic(t),
-        "boundary": classify.boundary_case(t),
-        "rees_normal": classify.rees_normal(t),
-        "pg_ideal_m": classify.is_pg_ideal_m(t),
+        "rational": inv.rational,
+        "elliptic": inv.elliptic,
+        "boundary": inv.boundary,
+        "rees_normal": inv.rees_normal,
+        "pg_ideal_m": inv.pg_ideal_m,
         "nr_A": {"status": status, "value": value},
-        "pg_bound_holds": genus.pg_bound_holds(pg, seq),
+        "pg_bound_holds": inv.pg_bound_holds,
     }
 
 
@@ -115,12 +115,8 @@ def _scan_rows(args):
                 d = _invariants_dict(t)
                 if args.filter != "all" and not d[args.filter]:
                     continue
-                yield {
-                    key: d["nr_A"]["status"] if key == "nr_A_status"
-                    else d["nr_A"]["value"] if key == "nr_A"
-                    else d[key]
-                    for key in SCAN_COLUMNS
-                }
+                d["nr_A_status"], d["nr_A"] = d["nr_A"]["status"], d["nr_A"]["value"]
+                yield {key: d[key] for key in SCAN_COLUMNS}
 
 
 def cmd_scan(args, out) -> int:

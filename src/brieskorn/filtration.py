@@ -9,11 +9,16 @@ recursion 2*q(n) + v_n = q(n+1) + q(n-1) together with stabilization
 q_sequence evaluates it for every n in O(br) with running sums and re-checks
 the recursion and q(n) >= 0 as it goes.  The per-n definition q_value and the
 colength oracle for v_n are compared against it in verify.suite_q_recursion.
+It also reads off the normal Hilbert coefficients in O(a): for n >= n_{a-1}
+the colength of closure(m^{n+1}) is sum_k C(n+2-n_k, 2), which expands to
+a*C(n+2, 2) - (sum_k n_k)(n+1) + sum_k C(n_k, 2).  The finite-difference fit
+normal_hilbert_coefficients is its oracle in verify.suite_hilbert.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .errors import InternalCheckError
 from .ring import BrieskornTriple, closure_of_m_power, colength, multiply_by_Q
@@ -81,7 +86,7 @@ def q_value(t: BrieskornTriple, pg: int, n: int) -> int:
 
 
 def q_sequence(t: BrieskornTriple, pg: int) -> QSequence:
-    """Assemble the full q/v data for m in O(br), re-checking the recursion."""
+    """Assemble the q/v data for m in O(br), re-checking the recursion, and e_bar in O(a)."""
     if pg < 0:
         raise ValueError(f"pg must be nonnegative, got {pg}")
     br = normal_reduction_number(t)
@@ -108,7 +113,7 @@ def q_sequence(t: BrieskornTriple, pg: int) -> QSequence:
         nr=br,
         v=v,
         q=tuple(q),
-        hilbert=normal_hilbert_coefficients(t),
+        hilbert=(t.a, sum(t.n_seq), sum(comb(nk, 2) for nk in t.n_seq)),
     )
 
 

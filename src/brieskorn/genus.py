@@ -1,4 +1,4 @@
-"""Geometric genus by lattice-point counting, and q(m).
+"""Geometric genus by lattice-point counting, q(m), and the p_g bound.
 
 p_g equals the number of nonnegative integer triples (t0, t1, t2) with
 q0*t0 + q1*t1 + q2*t2 <= D - q0 - q1 - q2, where (q0, q1, q2) = (bc, ac, ab)
@@ -6,21 +6,21 @@ are the weights of x, y, z and D = abc.  geometric_genus loops over t0 only:
 the t2 range collapses to an integer division and the t1 sum of those
 divisions to one floor_sum, so the count costs O(a log(abc)).  The direct loop
 over t0 and t1 is kept as geometric_genus_oracle and compared against it in
-verify.suite_pg_bound.
+verify.suite_pg_bound.  q_of_m is the per-triple formula for q(m), the
+oracle of q_1 in verify.suite_q_recursion; the reports read q_1 from the
+q-sequence.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
 from .errors import InternalCheckError
-from .filtration import QSequence, q_sequence
+from .filtration import QSequence
 from .numtheory import floor_sum
 from .ring import BrieskornTriple
 
 
-@lru_cache(maxsize=None)
 def geometric_genus(t: BrieskornTriple) -> int:
     """Exact count of lattice points in the weighted simplex; 0 if a(B) < 0."""
     bound = t.a_invariant
@@ -70,9 +70,3 @@ def pg_bound_holds(pg: int, seq: QSequence) -> bool:
     """p_g >= C(nr(m), 2) + q(nr(m) * m), for p_g and its q-sequence."""
     r = seq.nr
     return pg >= comb(r, 2) + seq.q[r]
-
-
-def pg_lower_bound_check(t: BrieskornTriple) -> bool:
-    """pg_bound_holds for the triple's own p_g and q-sequence."""
-    pg = geometric_genus(t)
-    return pg_bound_holds(pg, q_sequence(t, pg))

@@ -16,7 +16,8 @@ computation sequence (start at the all-ones cycle and bump any coefficient
 whose pairing with the cycle is still positive) is its oracle in `verify`,
 with a step bound proved from the closed-form cycle.  Definiteness of the
 whole graph is checked by exact leaf-to-center elimination on the tree, with
-the dense Bareiss minor test as its oracle.
+the dense Bareiss minor test as its oracle.  Neither seifert_data nor
+fundamental_genus caches: classify.invariants calls each once per triple.
 """
 
 from __future__ import annotations
@@ -37,13 +38,11 @@ class SeifertData:
     """Numerical data of the star-shaped resolution graph (one field per symbol)."""
 
     triple: BrieskornTriple
-    lcms: tuple[int, int, int]  # l_w = lcm of the two exponents other than a_w
     alpha: tuple[int, int, int]
     lam: tuple[int, int, int]
     beta: tuple[int, int, int]
     ghat: tuple[int, int, int]  # pairwise gcds: (b,c), (a,c), (a,b)
     ghat_total: int  # abc / lcm(a,b,c)
-    ell: int  # lcm(a,b,c)
     genus: int  # genus of the central curve
     center_weight: int  # c_0; central self-intersection is -c_0
 
@@ -78,7 +77,6 @@ class Cycle:
     coefficients: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
 def seifert_data(t: BrieskornTriple) -> SeifertData:
     """Compute all Seifert invariants of (a, b, c), checking integrality of g and c_0."""
     exps = (t.a, t.b, t.c)
@@ -95,23 +93,24 @@ def seifert_data(t: BrieskornTriple) -> SeifertData:
         raise InternalCheckError(f"{t}: central genus from 2g-2 = {two_g - 2} is invalid")
     genus = two_g // 2
 
-    c0 = sum(
-        Fraction(g_w * b_w, a_w) for g_w, b_w, a_w in zip(ghat, beta, alpha)
-    ) + Fraction(ghat_total, ell)
-    if c0.denominator != 1 or c0 <= 0:
-        raise InternalCheckError(f"{t}: central weight c_0 = {c0} is not a positive integer")
+    # c_0 = sum ghat_w beta_w / alpha_w + ghat_total / ell over the common
+    # denominator ell: each alpha_w divides a_w, which divides ell
+    numerator = sum(g_w * b_w * (ell // a_w) for g_w, b_w, a_w in zip(ghat, beta, alpha))
+    numerator += ghat_total
+    if numerator % ell != 0 or numerator <= 0:
+        raise InternalCheckError(
+            f"{t}: central weight c_0 = {numerator}/{ell} is not a positive integer"
+        )
 
     return SeifertData(
         triple=t,
-        lcms=lcms,
         alpha=alpha,
         lam=lam,
         beta=beta,
         ghat=ghat,
         ghat_total=ghat_total,
-        ell=ell,
         genus=genus,
-        center_weight=int(c0),
+        center_weight=numerator // ell,
     )
 
 
@@ -292,7 +291,6 @@ def fundamental_genus_formula(t: BrieskornTriple) -> int:
     return pf
 
 
-@lru_cache(maxsize=None)
 def fundamental_genus(t: BrieskornTriple) -> int:
     """p_f via the closed form when applicable, otherwise via Z + adjunction."""
     try:

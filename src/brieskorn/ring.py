@@ -102,13 +102,11 @@ class Monomial:
 class StaircaseIdeal:
     """An ideal sum_k x^k * Q^{e_k}, Q = (y, z), given by thresholds e_k.
 
-    A threshold of None encodes an absent level (no x^k component at all);
-    e_k = 0 encodes the full level x^k * A.  Ideals produced by
-    closure_of_m_power always have all levels present.
+    e_k = 0 encodes the full level x^k * A.
     """
 
     triple: BrieskornTriple
-    thresholds: tuple[int | None, ...]
+    thresholds: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if len(self.thresholds) != self.triple.a:
@@ -116,7 +114,7 @@ class StaircaseIdeal:
                 f"expected {self.triple.a} thresholds, got {len(self.thresholds)}"
             )
         for e in self.thresholds:
-            if e is not None and e < 0:
+            if e < 0:
                 raise ValueError(f"thresholds must be nonnegative, got {e}")
 
 
@@ -134,28 +132,17 @@ def contains(ideal: StaircaseIdeal, m: Monomial) -> bool:
     """Membership test: x^k y^i z^j is in the ideal iff i + j >= e_k."""
     if m.k >= ideal.triple.a:
         raise ValueError(f"x-exponent {m.k} exceeds a-1 = {ideal.triple.a - 1}")
-    e = ideal.thresholds[m.k]
-    if e is None:
-        return False
-    return m.i + m.j >= e
+    return m.i + m.j >= ideal.thresholds[m.k]
 
 
 def multiply_by_Q(ideal: StaircaseIdeal) -> StaircaseIdeal:
     """Q * sum_k x^k Q^{e_k} = sum_k x^k Q^{e_k + 1}."""
-    return StaircaseIdeal(
-        ideal.triple,
-        tuple(None if e is None else e + 1 for e in ideal.thresholds),
-    )
+    return StaircaseIdeal(ideal.triple, tuple(e + 1 for e in ideal.thresholds))
 
 
 def colength(ideal: StaircaseIdeal) -> int:
     """Length of A / ideal: counts basis monomials x^k y^i z^j with i+j < e_k."""
-    total = 0
-    for e in ideal.thresholds:
-        if e is None:
-            raise ValueError("colength is infinite: ideal has an absent level")
-        total += e * (e + 1) // 2
-    return total
+    return sum(e * (e + 1) // 2 for e in ideal.thresholds)
 
 
 def power_membership_degree(t: BrieskornTriple, k: int, n: int) -> int:
@@ -173,12 +160,3 @@ def power_membership_degree(t: BrieskornTriple, k: int, n: int) -> int:
         raise ValueError(f"x-exponent {k} outside 0..{t.a - 1}")
     # ceil((n*a - min_term) / a), clamped at 0
     return max(0, -((t.expansion_min_degrees[k] - n * t.a) // t.a))
-
-
-def power_membership_oracle(t: BrieskornTriple, m: Monomial, n: int) -> bool:
-    """Integral-closure membership by raising to the a-th power.
-
-    Both this test and `contains` depend on i, j only through i + j and are
-    monotone in it, so the oracle is the threshold power_membership_degree.
-    """
-    return m.i + m.j >= power_membership_degree(t, m.k, n)

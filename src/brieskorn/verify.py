@@ -123,19 +123,22 @@ def suite_q_recursion(bound: int) -> SuiteResult:
 
 
 def suite_hilbert(bound: int) -> SuiteResult:
-    """Quadratic-fit Hilbert coefficients; for a = 2, one more check against the closed form."""
+    """Two checks: the quadratic fit (it raises unless e0_bar = a and a fourth point
+    fits) and the closed form of q_sequence against it; for a = 2, a third, r = b // 2.
+    """
     result = SuiteResult("hilbert-coefficients")
     for t in _triples(bound):
-        result.checks += 1
+        result.checks += 2
         with _recorded(result, t):
-            e0, e1, e2 = filtration.normal_hilbert_coefficients(t)
-            if e0 != t.a:
-                result.failures.append(f"{t}: e0_bar = {e0}")
+            fit = filtration.normal_hilbert_coefficients(t)
+            closed = filtration.q_sequence(t, genus.geometric_genus(t)).hilbert
+            if closed != fit:
+                result.failures.append(f"{t}: closed form {closed} != fit {fit}")
             if t.a == 2:
                 result.checks += 1
                 r = t.b // 2
-                if (e0, e1, e2) != (2, r, comb(r, 2)):
-                    result.failures.append(f"{t}: a=2 coefficients ({e0},{e1},{e2})")
+                if closed != (2, r, comb(r, 2)):
+                    result.failures.append(f"{t}: a=2 coefficients {closed}")
     return result
 
 
@@ -191,15 +194,14 @@ def suite_negative_definite(bound: int) -> SuiteResult:
 def suite_classification(bound: int) -> SuiteResult:
     """Two-path elliptic and boundary classification; elliptic implies nr <= 2.
 
-    Each path pair raises InternalCheckError on disagreement.
+    classify.invariants raises InternalCheckError when a pair of paths disagrees.
     """
     result = SuiteResult("classification")
     for t in _triples(bound):
         result.checks += 1
         with _recorded(result, t):
-            elliptic = classify.is_elliptic(t)
-            classify.boundary_case(t)
-            if elliptic and filtration.normal_reduction_number(t) > 2:
+            inv = classify.invariants(t)
+            if inv.elliptic and inv.seq.nr > 2:
                 result.failures.append(f"{t}: elliptic but nr(m) > 2")
     return result
 
@@ -217,7 +219,7 @@ def suite_certificates(bound: int) -> SuiteResult:
             with _recorded(result, t):
                 if not classify.verify_nr3_certificate(t):
                     result.failures.append(f"{t}: certificate failed")
-                elif classify.infer_nr_A(t)[0] != "lower_bound":
+                elif classify.invariants(t).nr_A[0] != "lower_bound":
                     result.failures.append(f"{t}: certificate contradicts exact nr(A)")
     return result
 
@@ -232,7 +234,7 @@ def suite_pg_bound(bound: int) -> SuiteResult:
             oracle = genus.geometric_genus_oracle(t)
             if pg != oracle:
                 result.failures.append(f"{t}: p_g = {pg} != lattice loop {oracle}")
-            if not genus.pg_lower_bound_check(t):
+            if not genus.pg_bound_holds(pg, filtration.q_sequence(t, pg)):
                 result.failures.append(f"{t}: p_g bound violated")
     return result
 

@@ -9,7 +9,7 @@ from math import comb
 from brieskorn.classify import (
     boundary_family_nr,
     in_elliptic_list,
-    infer_nr_A,
+    invariants,
     verify_nr3_certificate,
 )
 from brieskorn.filtration import (
@@ -176,7 +176,7 @@ def test_criterion_09_certificates():
             t = new_triple(a, b, c)
             if not verify_nr3_certificate(t):
                 failures.append(t)
-            status, value = infer_nr_A(t)
+            status, value = invariants(t).nr_A
             # certificate gives nr(A) >= 3; anything but an honest lower bound
             # at nr(m) = 2 would contradict it, and p_g must allow nr(A) = 3
             if status != "lower_bound" or value != 2 or geometric_genus(t) < comb(3, 2):

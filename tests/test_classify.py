@@ -3,14 +3,9 @@ from math import comb
 import pytest
 
 from brieskorn.classify import (
-    boundary_case,
     boundary_family_nr,
     in_elliptic_list,
-    infer_nr_A,
-    is_elliptic,
-    is_pg_ideal_m,
-    is_rational,
-    rees_normal,
+    invariants,
     verify_nr3_certificate,
 )
 from brieskorn.filtration import normal_reduction_number
@@ -27,48 +22,49 @@ def all_triples(bound: int):
 
 class TestRational:
     def test_exact_list_up_to_30(self):
-        rational = {(t.a, t.b, t.c) for t in all_triples(30) if is_rational(t)}
+        rational = {(t.a, t.b, t.c) for t in all_triples(30) if invariants(t).rational}
         expected = {(2, 2, c) for c in range(2, 31)} | {(2, 3, c) for c in (3, 4, 5)}
         assert rational == expected
 
     def test_rational_iff_nr_one(self):
         for t in all_triples(25):
-            assert is_rational(t) == (normal_reduction_number(t) == 1 and geometric_genus(t) == 0)
+            rational = normal_reduction_number(t) == 1 and geometric_genus(t) == 0
+            assert invariants(t).rational == rational
 
 
 class TestElliptic:
     def test_two_paths_agree(self):
         for t in all_triples(30):
-            assert is_elliptic(t) == in_elliptic_list(t)
+            assert invariants(t).elliptic == in_elliptic_list(t)
 
     def test_members_and_nonmembers(self):
-        assert is_elliptic(new_triple(2, 3, 7))
-        assert is_elliptic(new_triple(2, 4, 100))
-        assert is_elliptic(new_triple(3, 3, 50))
-        assert is_elliptic(new_triple(2, 5, 9))
-        assert not is_elliptic(new_triple(2, 5, 10))
-        assert not is_elliptic(new_triple(2, 3, 5))
-        assert not is_elliptic(new_triple(3, 4, 6))
+        assert invariants(new_triple(2, 3, 7)).elliptic
+        assert invariants(new_triple(2, 4, 100)).elliptic
+        assert invariants(new_triple(3, 3, 50)).elliptic
+        assert invariants(new_triple(2, 5, 9)).elliptic
+        assert not invariants(new_triple(2, 5, 10)).elliptic
+        assert not invariants(new_triple(2, 3, 5)).elliptic
+        assert not invariants(new_triple(3, 4, 6)).elliptic
 
     def test_elliptic_implies_small_nr(self):
         for t in all_triples(30):
-            if is_elliptic(t):
+            if invariants(t).elliptic:
                 assert normal_reduction_number(t) <= 2
 
 
 class TestBoundary:
     def test_examples(self):
-        assert boundary_case(new_triple(2, 2, 9))
-        assert boundary_case(new_triple(2, 4, 7))
-        assert boundary_case(new_triple(2, 6, 8))
-        assert boundary_case(new_triple(3, 5, 6))
-        assert not boundary_case(new_triple(2, 4, 8))
-        assert not boundary_case(new_triple(3, 4, 7))
-        assert not boundary_case(new_triple(3, 7, 7))
+        assert invariants(new_triple(2, 2, 9)).boundary
+        assert invariants(new_triple(2, 4, 7)).boundary
+        assert invariants(new_triple(2, 6, 8)).boundary
+        assert invariants(new_triple(3, 5, 6)).boundary
+        assert not invariants(new_triple(2, 4, 8)).boundary
+        assert not invariants(new_triple(3, 4, 7)).boundary
+        assert not invariants(new_triple(3, 7, 7)).boundary
 
     def test_count_matches_list(self):
         for t in all_triples(25):
-            on_boundary = boundary_case(t)
+            on_boundary = invariants(t).boundary
             assert on_boundary == (geometric_genus(t) == comb(normal_reduction_number(t), 2))
             assert on_boundary == (boundary_family_nr(t) is not None)
 
@@ -84,38 +80,38 @@ class TestReesNormal:
     def test_iff_b_close_to_a(self):
         # floor((a-1)b/a) = a-1 exactly when a <= b < a + a/(a-1), i.e. b in {a, a+1}
         for t in all_triples(20):
-            assert rees_normal(t) == (t.b in (t.a, t.a + 1))
+            assert invariants(t).rees_normal == (t.b in (t.a, t.a + 1))
 
     def test_examples(self):
-        assert rees_normal(new_triple(3, 4, 7))
-        assert rees_normal(new_triple(5, 6, 9))
-        assert not rees_normal(new_triple(3, 5, 7))
+        assert invariants(new_triple(3, 4, 7)).rees_normal
+        assert invariants(new_triple(5, 6, 9)).rees_normal
+        assert not invariants(new_triple(3, 5, 7)).rees_normal
 
 
 class TestPgIdeal:
     def test_only_small_b_with_a_two(self):
         for t in all_triples(15):
-            assert is_pg_ideal_m(t) == (t.a == 2 and t.b <= 3)
+            assert invariants(t).pg_ideal_m == (t.a == 2 and t.b <= 3)
 
 
 class TestInferNrA:
     def test_boundary_gives_exact(self):
-        status, value = infer_nr_A(new_triple(2, 8, 10))
+        status, value = invariants(new_triple(2, 8, 10)).nr_A
         assert (status, value) == ("exact", 4)
 
     def test_small_pg_gives_exact(self):
         # pg(2,4,9) = 2 < C(3, 2) = 3, so nr(A) = nr(m) = 2
-        status, value = infer_nr_A(new_triple(2, 4, 9))
+        status, value = invariants(new_triple(2, 4, 9)).nr_A
         assert (status, value) == ("exact", 2)
 
     def test_large_pg_gives_lower_bound(self):
-        status, value = infer_nr_A(new_triple(2, 5, 10))
+        status, value = invariants(new_triple(2, 5, 10)).nr_A
         assert status == "lower_bound"
         assert value == normal_reduction_number(new_triple(2, 5, 10))
 
     def test_exact_values_never_below_nr_m(self):
         for t in all_triples(20):
-            status, value = infer_nr_A(t)
+            status, value = invariants(t).nr_A
             assert value >= normal_reduction_number(t)
             assert status in ("exact", "lower_bound")
 
@@ -140,4 +136,4 @@ class TestCertificates:
     def test_certificate_families_report_lower_bound(self):
         # the certificate shows nr(A) >= 3 > nr(m) = 2, so "exact" would be wrong
         for t in (new_triple(2, 5, 12), new_triple(3, 4, 9)):
-            assert infer_nr_A(t)[0] == "lower_bound"
+            assert invariants(t).nr_A[0] == "lower_bound"

@@ -1,9 +1,12 @@
+import hashlib
 import io
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from brieskorn import cli, filtration, resolution
+from brieskorn import cli, filtration, genus, resolution
 from brieskorn.cli import build_parser, main
 from brieskorn.errors import InternalCheckError
 
@@ -136,6 +139,40 @@ class TestParserReuse:
         assert reused[2][2].startswith("usage: brieskorn scan")
 
 
+class TestReferenceDigests:
+    """Output is byte-identical to the digests recorded in perfbench/reference.json."""
+
+    REFERENCE = json.loads(
+        (Path(__file__).resolve().parent.parent / "perfbench" / "reference.json").read_text()
+    )
+
+    @staticmethod
+    def mismatches(runs):
+        parser = build_parser()
+        wrong = []
+        for argv, digest in runs:
+            args = parser.parse_args(argv)
+            out = io.StringIO()
+            assert args.func(args, out) == 0, argv
+            if hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] != digest:
+                wrong.append(argv)
+        return wrong
+
+    def test_invariants_json(self):
+        ladder = self.REFERENCE["ladder_endpoints"] + [
+            triple for group in self.REFERENCE["ladder_pool"] for triple in group
+        ]
+        assert len(ladder) == 502
+        runs = [(["invariants", str(a), str(b), str(c), "--json"], d) for a, b, c, d in ladder]
+        assert self.mismatches(runs) == []
+
+    def test_scan_slabs(self):
+        slabs = self.REFERENCE["scan_box"]
+        assert sorted(map(int, slabs)) == list(range(2, 11))
+        runs = [(["scan", a, "2..40", "2..40"], d) for a, d in slabs.items()]
+        assert self.mismatches(runs) == []
+
+
 def test_main_smoke(capsys):
     assert main(["invariants", "2", "3", "7", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -171,3 +208,42 @@ class TestInternalCheckError:
         assert len(fail) == 1
         assert "first: BrieskornTriple(" in fail[0] and fail[0].endswith(": injected")
         assert lines[-1].startswith("FAIL total:")
+
+
+class TestOneRecordPerTriple:
+    def test_each_invariant_is_computed_once(self, monkeypatch):
+        calls = Counter()
+        for module, name in [
+            (genus, "geometric_genus"),
+            (filtration, "q_sequence"),
+            (resolution, "fundamental_genus"),
+        ]:
+            def counted(*args, fn=getattr(module, name), name=name):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        # (6, 10, 15) is outside the p_f formula, so p_f takes the adjunction path
+        for triple in (["3", "4", "7"], ["6", "10", "15"]):
+            calls.clear()
+            assert main(["invariants", *triple, "--json"]) == 0
+            assert calls == {"geometric_genus": 1, "q_sequence": 1, "fundamental_genus": 1}
+
+    @pytest.mark.parametrize(
+        "argv", [["invariants", "3", "4", "7"], ["scan", "3", "4", "6..8", "--json"]]
+    )
+    def test_elliptic_disagreement_exits_1(self, monkeypatch, capsys, argv):
+        # p_f(3, 4, 7) = 2; a p_f of 1 contradicts the elliptic list, which excludes it
+        exact = resolution.fundamental_genus
+
+        def wrong_at_347(t):
+            return 1 if (t.a, t.b, t.c) == (3, 4, 7) else exact(t)
+
+        monkeypatch.setattr(resolution, "fundamental_genus", wrong_at_347)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "brieskorn: internal check failed: BrieskornTriple(a=3, b=4, c=7): "
+            "p_f path says True, elliptic list says False\n"
+        )

@@ -139,3 +139,7 @@ class TestHilbertCoefficients:
     def test_e0_is_multiplicity(self):
         for t in all_triples(10):
             assert normal_hilbert_coefficients(t)[0] == t.a
+
+    def test_closed_form_matches_fit(self):
+        for t in all_triples(20):
+            assert q_sequence(t, geometric_genus(t)).hilbert == normal_hilbert_coefficients(t), t

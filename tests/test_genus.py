@@ -2,12 +2,7 @@ from itertools import product
 from math import comb
 
 from brieskorn.filtration import q_sequence
-from brieskorn.genus import (
-    geometric_genus,
-    geometric_genus_oracle,
-    pg_lower_bound_check,
-    q_of_m,
-)
+from brieskorn.genus import geometric_genus, geometric_genus_oracle, pg_bound_holds, q_of_m
 from brieskorn.ring import BrieskornTriple, new_triple
 
 
@@ -108,7 +103,8 @@ class TestQOfM:
 class TestPgLowerBound:
     def test_holds_everywhere(self):
         for t in all_triples(14):
-            assert pg_lower_bound_check(t)
+            pg = geometric_genus(t)
+            assert pg_bound_holds(pg, q_sequence(t, pg))
 
     def test_weak_form(self):
         from brieskorn.filtration import normal_reduction_number

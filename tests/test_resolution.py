@@ -55,13 +55,11 @@ NOT_NEGATIVE_DEFINITE = [star(-1, [[-2], [-2]]), star(-1, [[-2], [-2], [-2]])]
 class TestSeifertData:
     def test_347(self):
         sd = seifert_data(new_triple(3, 4, 7))
-        assert sd.lcms == (28, 21, 12)
         assert sd.alpha == (3, 4, 7)
         assert sd.lam == (28, 21, 12)
         assert sd.beta == (2, 3, 4)
         assert sd.ghat == (1, 1, 1)
         assert sd.ghat_total == 1
-        assert sd.ell == 84
         assert sd.genus == 0
         assert sd.center_weight == 2
 

@@ -1,9 +1,12 @@
 """The oracles that run only in verify still catch a wrong hot-path value."""
 
-from brieskorn import classify, filtration, genus, resolution, ring
+from dataclasses import replace
+
+from brieskorn import filtration, genus, resolution, ring
 from brieskorn.verify import (
     run_all,
     suite_fundamental_genus,
+    suite_hilbert,
     suite_membership_oracle,
     suite_negative_definite,
     suite_pg_bound,
@@ -22,6 +25,24 @@ def test_q_recursion_suite_catches_a_wrong_colength_drop(monkeypatch):
     result = suite_q_recursion(5)
     assert not result.passed
     assert all("v_0" in failure and "colength drop" in failure for failure in result.failures)
+
+
+def test_hilbert_suite_catches_a_wrong_closed_form(monkeypatch):
+    exact = filtration.q_sequence
+    target = ring.BrieskornTriple(4, 6, 9)
+
+    def off_once(t, pg):
+        seq = exact(t, pg)
+        if t != target:
+            return seq
+        e0, e1, e2 = seq.hilbert
+        return replace(seq, hilbert=(e0, e1, e2 + 1))
+
+    monkeypatch.setattr(filtration, "q_sequence", off_once)
+    result = suite_hilbert(9)
+    assert len(result.failures) == 1
+    assert result.failures[0].startswith(str(target))
+    assert "fit" in result.failures[0]
 
 
 def test_pg_bound_suite_catches_a_wrong_geometric_genus(monkeypatch):
@@ -99,8 +120,6 @@ def test_failures_never_outnumber_checks(monkeypatch):
         "fundamental_cycle",
         lambda g: resolution.Cycle(tuple(2 * c for c in exact(g).coefficients)),
     )
-    # uncached p_f, so the doubled Z reaches classification and no cache keeps it
-    monkeypatch.setattr(classify, "fundamental_genus", resolution.fundamental_genus.__wrapped__)
     results = run_all(12)
     assert not all(result.passed for result in results)
     for result in results:
