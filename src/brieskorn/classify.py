@@ -72,12 +72,16 @@ def boundary_family_nr(t: BrieskornTriple) -> int | None:
 
 
 def invariants(t: BrieskornTriple) -> Invariants:
-    """Compute p_g, the q-sequence and p_f once each; check both classification paths.
+    """The record of t, from p_g by the lattice count."""
+    return invariants_from_pg(t, genus.geometric_genus(t))
+
+
+def invariants_from_pg(t: BrieskornTriple, pg: int) -> Invariants:
+    """Compute the q-sequence and p_f once each from p_g; check both classification paths.
 
     nr(A) = nr(m) exactly when p_g < C(nr+1, 2), which covers every member of
     the boundary list: there p_g = C(nr, 2) and, as checked here, nr(A) = nr.
     """
-    pg = genus.geometric_genus(t)
     seq = filtration.q_sequence(t, pg)
     pf = resolution.fundamental_genus(t)
     nr = seq.nr

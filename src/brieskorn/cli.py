@@ -16,7 +16,7 @@ import sys
 
 from . import classify, resolution, verify
 from .errors import InternalCheckError
-from .ring import BrieskornTriple
+from .ring import BrieskornPair, BrieskornTriple
 
 SCAN_COLUMNS = [
     "a", "b", "c", "pg", "nr_m", "q_m", "pf",
@@ -108,11 +108,13 @@ def cmd_graph(args, out) -> int:
 def _scan_rows(args):
     for a in args.a_range:
         for b in args.b_range:
+            if not 2 <= a <= b:
+                continue
+            pair = BrieskornPair(a, b)  # one per (a, b), read by each c
             for c in args.c_range:
-                if not 2 <= a <= b <= c:
+                if c < b:
                     continue
-                t = BrieskornTriple(a, b, c)
-                d = _invariants_dict(t)
+                d = _invariants_dict(pair.triple(c))
                 if args.filter != "all" and not d[args.filter]:
                     continue
                 d["nr_A_status"], d["nr_A"] = d["nr_A"]["status"], d["nr_A"]["value"]

@@ -9,7 +9,6 @@ lattice-point count for p_g.  No floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -25,17 +24,13 @@ class HJFraction:
     denominator: int
     expansion: tuple[int, ...]
 
-    def value(self) -> Fraction:
-        if self.denominator == 0:
-            raise ValueError("alpha/beta is undefined for beta = 0")
-        return Fraction(self.numerator, self.denominator)
-
 
 def hj_expand(alpha: int, beta: int) -> HJFraction:
     """Expand alpha/beta as a Hirzebruch-Jung continued fraction.
 
     Requires 0 <= beta < alpha with gcd(alpha, beta) = 1 when beta >= 1;
-    (1, 0) is allowed and yields the empty expansion.
+    (1, 0) is allowed and yields the empty expansion.  Its inverse, hj_evaluate,
+    is in tests/test_numtheory.py.
     """
     if alpha < 1:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -56,22 +51,6 @@ def hj_expand(alpha: int, beta: int) -> HJFraction:
         # partial denominators stay positive: 0 <= c*den - num < den
         num, den = den, c * den - num
     return HJFraction(alpha, beta, tuple(expansion))
-
-
-def hj_evaluate(expansion) -> Fraction:
-    """Exact rational value of a descending continued fraction.
-
-    Inverse of hj_expand: hj_evaluate(hj_expand(a, b).expansion) == a/b.
-    """
-    terms = tuple(expansion)
-    if not terms:
-        raise ValueError("cannot evaluate an empty expansion")
-    if any(c < 2 for c in terms):
-        raise ValueError(f"all entries must be >= 2, got {terms}")
-    value = Fraction(terms[-1])
-    for c in reversed(terms[:-1]):
-        value = c - 1 / value
-    return value
 
 
 def mod_inverse_negation(lam: int, alpha: int) -> int:

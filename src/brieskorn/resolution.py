@@ -16,8 +16,10 @@ computation sequence (start at the all-ones cycle and bump any coefficient
 whose pairing with the cycle is still positive) is its oracle in `verify`,
 with a step bound proved from the closed-form cycle.  Definiteness of the
 whole graph is checked by exact leaf-to-center elimination on the tree, with
-the dense Bareiss minor test as its oracle.  Neither seifert_data nor
-fundamental_genus caches: classify.invariants calls each once per triple.
+the dense Bareiss minor test as its oracle in the tests.  Neither seifert_data
+nor fundamental_genus caches: classify.invariants calls each once per triple.
+build_dual_graph and fundamental_cycle keep their 128 latest results, so a
+verify walk or a scan does not hold every graph it has built.
 """
 
 from __future__ import annotations
@@ -59,15 +61,6 @@ class DualGraph:
     vertices: tuple[tuple[int, int], ...]
     neighbors: tuple[tuple[int, ...], ...]
     branch_index: tuple[tuple[int, int, int] | None, ...]
-
-    def intersection(self, i: int, j: int) -> int:
-        if i == j:
-            return self.vertices[i][0]
-        return 1 if j in self.neighbors[i] else 0
-
-    def intersection_matrix(self) -> list[list[int]]:
-        n = len(self.vertices)
-        return [[self.intersection(i, j) for j in range(n)] for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -114,7 +107,7 @@ def seifert_data(t: BrieskornTriple) -> SeifertData:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def build_dual_graph(sd: SeifertData) -> DualGraph:
     vertices: list[tuple[int, int]] = [(-sd.center_weight, sd.genus)]
     neighbors: list[list[int]] = [[]]
@@ -145,7 +138,7 @@ def dual_graph(t: BrieskornTriple) -> DualGraph:
     return build_dual_graph(seifert_data(t))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def fundamental_cycle(g: DualGraph) -> Cycle:
     """Minimal anti-nef cycle Z_min of the star, in closed form.
 
@@ -305,44 +298,14 @@ def expected_minus_z_squared(t: BrieskornTriple) -> int:
     return sd.ghat[2] * (-(-sd.lam[2] // sd.alpha[2]))
 
 
-def leading_principal_minors(matrix: list[list[int]]) -> list[int]:
-    """All leading principal minors by fraction-free (Bareiss) elimination.
-
-    Stops early (padding with the zero determinant) if a pivot vanishes,
-    which already disqualifies definiteness.
-    """
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    minors: list[int] = []
-    prev = 1
-    for k in range(n):
-        pivot = m[k][k]
-        minors.append(pivot)
-        if pivot == 0:
-            minors.extend(0 for _ in range(n - k - 1))
-            break
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-        prev = pivot
-    return minors
-
-
-def is_negative_definite(g: DualGraph) -> bool:
-    """Sign test (-1)^k * minor_k > 0 on all leading principal minors."""
-    minors = leading_principal_minors(g.intersection_matrix())
-    return all(
-        (minor > 0 if k % 2 == 1 else minor < 0) for k, minor in enumerate(minors)
-    )
-
-
 def is_negative_definite_tree(g: DualGraph) -> bool:
     """Exact leaf-to-center elimination on the tree: O(V) Fraction steps.
 
     Eliminating leaves first creates no fill-in, so vertex i's pivot is
     w_i - sum(1 / pivot_c) over its children c.  The pivots are the ratios
     of consecutive leading minors in that order, so the form is negative
-    definite iff every pivot is < 0.  `is_negative_definite` is its oracle.
+    definite iff every pivot is < 0.  Its oracle is the dense Bareiss minor
+    test in tests/test_resolution.py.
     """
     n = len(g.vertices)
     parent: list[int | None] = [None] * n

@@ -12,13 +12,77 @@ reads off, for each level k and power n, the least total degree i + j that
 puts x^k y^i z^j in the closure of m^n (power_membership_degree).  Membership
 is a threshold test in i + j on both sides, so verify compares that degree
 with the staircase threshold e_k once per (triple, k, n).
+
+BrieskornPair (a, b) carries everything the filtration of m derives without c:
+n_k, nr(m), v_n, the sums S(n) with q(n*m) = p_g - S(n), and the Hilbert
+coefficients.  Triples read it as t.pair, so verify checks it once per pair.
+The staircase functions below accept a triple or its pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import comb
+
+from .errors import InternalCheckError
+
+
+@dataclass(frozen=True)
+class BrieskornPair:
+    """Validated exponents (a, b) with 2 <= a <= b: the part of a triple without c."""
+
+    a: int
+    b: int
+
+    def __post_init__(self) -> None:
+        if self.a < 2:
+            raise ValueError(f"need a >= 2, got a={self.a}")
+        if self.b < self.a:
+            raise ValueError(f"need a <= b, got ({self.a}, {self.b})")
+
+    def triple(self, c: int) -> BrieskornTriple:
+        """The triple (a, b, c), reading this pair's data instead of a copy of it."""
+        t = BrieskornTriple(self.a, self.b, c)
+        t.__dict__["pair"] = self  # where the cached property t.pair keeps its value
+        return t
+
+    @cached_property
+    def n_seq(self) -> tuple[int, ...]:
+        """n_k = floor(k*b/a) for k = 0..a-1; strictly increasing from k = 1 on."""
+        return tuple(k * self.b // self.a for k in range(self.a))
+
+    @cached_property
+    def nr(self) -> int:  # nr(m) = br(m) = n_{a-1}
+        return self.n_seq[self.a - 1]
+
+    @cached_property
+    def v(self) -> tuple[int, ...]:
+        """v_n for n = 0..nr, by filtration.colength_drop."""
+        from . import filtration  # filtration imports this module
+
+        return tuple(filtration.colength_drop(self, n) for n in range(self.nr + 1))
+
+    @cached_property
+    def drop_sums(self) -> tuple[int, ...]:
+        """S(n) = sum_{k>=1} min(n, k) * v_k, n = 0..nr+1, by running sums.  Re-checks the
+        q-recursion 2 q_n + v_n = q_{n+1} + q_{n-1}: S(n+1) - 2 S(n) + S(n-1) = -v_n."""
+        v = self.v
+        head, tail = 0, sum(v[1:])  # sum_{1<=k<=n} k*v_k and sum_{k>n} v_k
+        sums = []
+        for n in range(self.nr + 2):
+            if 1 <= n <= self.nr:
+                head, tail = head + n * v[n], tail - v[n]
+            sums.append(head + n * tail)
+        for n in range(1, self.nr + 1):
+            if sums[n + 1] - 2 * sums[n] + sums[n - 1] != -v[n]:
+                raise InternalCheckError(f"{self}: q-recursion fails at n={n}")
+        return tuple(sums)
+
+    @cached_property
+    def hilbert(self) -> tuple[int, int, int]:
+        """(e0_bar, e1_bar, e2_bar) = (a, sum_k n_k, sum_k C(n_k, 2)), in O(a)."""
+        return (self.a, sum(self.n_seq), sum(comb(nk, 2) for nk in self.n_seq))
 
 
 @dataclass(frozen=True)
@@ -36,21 +100,12 @@ class BrieskornTriple:
             raise ValueError(f"need a <= b <= c, got ({self.a}, {self.b}, {self.c})")
 
     @cached_property
-    def d(self) -> int:
-        return gcd(self.a, self.b)
-
-    @cached_property
-    def a_prime(self) -> int:
-        return self.a // self.d
-
-    @cached_property
-    def b_prime(self) -> int:
-        return self.b // self.d
+    def pair(self) -> BrieskornPair:
+        return BrieskornPair(self.a, self.b)
 
     @cached_property
     def n_seq(self) -> tuple[int, ...]:
-        """n_k = floor(k*b/a) for k = 0..a-1; strictly increasing from k = 1 on."""
-        return tuple(k * self.b // self.a for k in range(self.a))
+        return self.pair.n_seq
 
     @cached_property
     def expansion_min_degrees(self) -> tuple[int, ...]:
@@ -105,7 +160,7 @@ class StaircaseIdeal:
     e_k = 0 encodes the full level x^k * A.
     """
 
-    triple: BrieskornTriple
+    triple: BrieskornTriple | BrieskornPair
     thresholds: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -118,7 +173,7 @@ class StaircaseIdeal:
                 raise ValueError(f"thresholds must be nonnegative, got {e}")
 
 
-def closure_of_m_power(t: BrieskornTriple, n: int) -> StaircaseIdeal:
+def closure_of_m_power(t: BrieskornTriple | BrieskornPair, n: int) -> StaircaseIdeal:
     """Integral closure of m^n: thresholds e_k = max(n - n_k, 0).
 
     n = 0 gives the unit ideal (all thresholds zero).

@@ -4,7 +4,23 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from brieskorn.numtheory import floor_sum, hj_evaluate, hj_expand, mod_inverse_negation
+from brieskorn.numtheory import floor_sum, hj_expand, mod_inverse_negation
+
+
+def hj_evaluate(expansion) -> Fraction:
+    """Exact rational value of a descending continued fraction.
+
+    Inverse of hj_expand: hj_evaluate(hj_expand(a, b).expansion) == a/b.
+    """
+    terms = tuple(expansion)
+    if not terms:
+        raise ValueError("cannot evaluate an empty expansion")
+    if any(c < 2 for c in terms):
+        raise ValueError(f"all entries must be >= 2, got {terms}")
+    value = Fraction(terms[-1])
+    for c in reversed(terms[:-1]):
+        value = c - 1 / value
+    return value
 
 
 def test_expand_known_values():
@@ -49,7 +65,7 @@ def test_round_trip_and_entry_bound(alpha, beta):
     assert all(c >= 2 for c in f.expansion)
     assert len(f.expansion) <= alpha - 1
     assert hj_evaluate(f.expansion) == Fraction(alpha, beta)
-    assert f.value() == Fraction(alpha, beta)
+    assert (f.numerator, f.denominator) == (alpha, beta)
 
 
 def test_mod_inverse_negation_known_values():

@@ -14,10 +14,8 @@ from brieskorn.resolution import (
     fundamental_genus,
     fundamental_genus_formula,
     fundamental_genus_oracle,
-    is_negative_definite,
     is_negative_definite_tree,
     laufer_cycle,
-    leading_principal_minors,
     seifert_data,
     to_dot,
     to_json_dict,
@@ -46,6 +44,46 @@ def star(center: int, chains: list[list[int]]) -> DualGraph:
             branch_index.append((1, copy, position))
             previous = len(vertices) - 1
     return DualGraph(tuple(vertices), tuple(map(tuple, neighbors)), tuple(branch_index))
+
+
+def intersection_matrix(g: DualGraph) -> list[list[int]]:
+    n = len(g.vertices)
+    return [
+        [g.vertices[i][0] if i == j else int(j in g.neighbors[i]) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def leading_principal_minors(matrix: list[list[int]]) -> list[int]:
+    """All leading principal minors by fraction-free (Bareiss) elimination.
+
+    Stops early (padding with the zero determinant) if a pivot vanishes,
+    which already disqualifies definiteness.
+    """
+    n = len(matrix)
+    m = [row[:] for row in matrix]
+    minors: list[int] = []
+    prev = 1
+    for k in range(n):
+        pivot = m[k][k]
+        minors.append(pivot)
+        if pivot == 0:
+            minors.extend(0 for _ in range(n - k - 1))
+            break
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+        prev = pivot
+    return minors
+
+
+def is_negative_definite(matrix: list[list[int]]) -> bool:
+    """Sign test (-1)^k * minor_k > 0 on all leading principal minors: the dense
+    oracle of resolution.is_negative_definite_tree."""
+    minors = leading_principal_minors(matrix)
+    return all(
+        (minor > 0 if k % 2 == 1 else minor < 0) for k, minor in enumerate(minors)
+    )
 
 
 # e = -1 + 1/2 + 1/2 = 0 (semi-definite) and e = -1 + 3/2 > 0 (indefinite)
@@ -112,7 +150,7 @@ class TestDualGraph:
 
     def test_intersection_matrix_symmetric(self):
         for t in [new_triple(3, 4, 7), new_triple(2, 4, 8), new_triple(4, 6, 9)]:
-            m = dual_graph(t).intersection_matrix()
+            m = intersection_matrix(dual_graph(t))
             n = len(m)
             assert all(m[i][j] == m[j][i] for i in range(n) for j in range(n))
             assert all(m[i][i] <= -1 for i in range(n))
@@ -229,21 +267,17 @@ class TestNegativeDefiniteness:
 
     def test_all_graphs_negative_definite(self):
         for t in all_triples(9):
-            assert is_negative_definite(dual_graph(t))
+            assert is_negative_definite(intersection_matrix(dual_graph(t)))
 
     def test_indefinite_rejected(self):
-        class Fake:
-            def intersection_matrix(self):
-                return [[-2, 3], [3, -2]]
-
-        assert not is_negative_definite(Fake())
+        assert not is_negative_definite([[-2, 3], [3, -2]])
 
     def test_tree_elimination_matches_bareiss(self):
         for t in all_triples(12):
             g = dual_graph(t)
-            assert is_negative_definite_tree(g) == is_negative_definite(g), t
+            assert is_negative_definite_tree(g) == is_negative_definite(intersection_matrix(g)), t
         for g in NOT_NEGATIVE_DEFINITE:
-            assert not is_negative_definite(g)
+            assert not is_negative_definite(intersection_matrix(g))
             assert not is_negative_definite_tree(g)
 
 

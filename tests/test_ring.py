@@ -1,8 +1,12 @@
+from dataclasses import fields
 from itertools import product
 
 import pytest
 
+from brieskorn.filtration import q_sequence
+from brieskorn.genus import geometric_genus
 from brieskorn.ring import (
+    BrieskornPair,
     BrieskornTriple,
     Monomial,
     StaircaseIdeal,
@@ -33,7 +37,6 @@ def all_triples(bound: int):
 class TestTriple:
     def test_347_constants(self):
         t = new_triple(3, 4, 7)
-        assert t.d == 1
         assert t.n_seq == (0, 1, 2)
         assert (t.q0, t.q1, t.q2) == (28, 21, 12)
         assert t.D == 84
@@ -41,8 +44,6 @@ class TestTriple:
 
     def test_225_constants(self):
         t = new_triple(2, 2, 5)
-        assert t.d == 2
-        assert t.a_prime == 1 and t.b_prime == 1
         assert t.n_seq == (0, 1)
 
     def test_validation(self):
@@ -57,6 +58,27 @@ class TestTriple:
             assert n[0] == 0
             assert all(n[k] >= k for k in range(t.a))
             assert all(n[k] < n[k + 1] for k in range(1, t.a - 1))
+
+
+class TestPair:
+    def test_has_no_c(self):
+        assert tuple(f.name for f in fields(BrieskornPair)) == ("a", "b")
+
+    def test_triples_of_one_pair_share_its_data(self):
+        pair = BrieskornPair(4, 6)
+        data = (pair.n_seq, pair.nr, pair.v, pair.hilbert)
+        assert data == ((0, 1, 3, 4), 4, (3, 2, 2, 1, 0), (4, 8, 9))
+        for c in (6, 9, 40):
+            t = new_triple(4, 6, c)
+            seq = q_sequence(t, geometric_genus(t))
+            assert (t.n_seq, seq.nr, seq.v, seq.hilbert) == data
+            assert pair.triple(c).pair is pair
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            BrieskornPair(1, 3)
+        with pytest.raises(ValueError):
+            BrieskornPair(4, 3)
 
 
 class TestClosure:

@@ -1,8 +1,9 @@
 """The oracles that run only in verify still catch a wrong hot-path value."""
 
-from dataclasses import replace
+from collections import Counter
 
-from brieskorn import filtration, genus, resolution, ring
+from brieskorn import classify, filtration, genus, resolution, ring
+from brieskorn.errors import InternalCheckError
 from brieskorn.verify import (
     run_all,
     suite_fundamental_genus,
@@ -27,18 +28,36 @@ def test_q_recursion_suite_catches_a_wrong_colength_drop(monkeypatch):
     assert all("v_0" in failure and "colength drop" in failure for failure in result.failures)
 
 
+def test_q_recursion_suite_catches_a_wrong_drop_sum(monkeypatch):
+    exact = ring.BrieskornPair.drop_sums.func
+    target, n = ring.BrieskornPair(4, 6), 2
+
+    def off_once(p):
+        # past the pair's own recursion check, and at neither n = 1 (the q(m)
+        # formula) nor n = nr (the p_g bound), so only q_value can see this
+        sums = list(exact(p))
+        if p == target:
+            sums[n] -= 1
+        return tuple(sums)
+
+    monkeypatch.setattr(ring.BrieskornPair, "drop_sums", property(off_once))
+    failed = {result.name: result.failures for result in run_all(9) if result.failures}
+    assert list(failed) == ["q-recursion"]
+    assert [failure.split(":")[0] for failure in failed["q-recursion"]] == [
+        str(target.triple(c)) for c in range(6, 10)
+    ]
+    assert all(f"q({n}m)" in failure and "q_value" in failure for failure in failed["q-recursion"])
+
+
 def test_hilbert_suite_catches_a_wrong_closed_form(monkeypatch):
-    exact = filtration.q_sequence
-    target = ring.BrieskornTriple(4, 6, 9)
+    exact = ring.BrieskornPair.hilbert.func
+    target = ring.BrieskornPair(4, 6)
 
-    def off_once(t, pg):
-        seq = exact(t, pg)
-        if t != target:
-            return seq
-        e0, e1, e2 = seq.hilbert
-        return replace(seq, hilbert=(e0, e1, e2 + 1))
+    def off_once(p):
+        e0, e1, e2 = exact(p)
+        return (e0, e1, e2 + 1) if p == target else (e0, e1, e2)
 
-    monkeypatch.setattr(filtration, "q_sequence", off_once)
+    monkeypatch.setattr(ring.BrieskornPair, "hilbert", property(off_once))
     result = suite_hilbert(9)
     assert len(result.failures) == 1
     assert result.failures[0].startswith(str(target))
@@ -124,3 +143,39 @@ def test_failures_never_outnumber_checks(monkeypatch):
     assert not all(result.passed for result in results)
     for result in results:
         assert len(result.failures) <= result.checks, result.name
+
+
+def test_one_walk_computes_each_triple_once(monkeypatch):
+    calls = Counter()
+    for module, name in [(filtration, "q_sequence"), (genus, "geometric_genus")]:
+        exact = getattr(module, name)
+
+        def counted(t, *args, exact=exact, name=name):
+            calls[name, (t.a, t.b, t.c)] += 1
+            return exact(t, *args)
+
+        monkeypatch.setattr(module, name, counted)
+    run_all(8)
+    walked = [(a, b, c) for a in range(2, 9) for b in range(a, 9) for c in range(b, 9)]
+    # q_sequence for the record; geometric_genus for the shared p_g the record is
+    # built from, and once more inside the q(m) oracle
+    assert {t: calls["q_sequence", t] for t in walked} == dict.fromkeys(walked, 1)
+    assert {t: calls["geometric_genus", t] for t in walked} == dict.fromkeys(walked, 2)
+    assert sum(calls.values()) == 3 * len(walked)
+
+
+def test_a_record_that_fails_to_build_fails_once_in_each_reader(monkeypatch):
+    exact = classify.invariants_from_pg
+    target = ring.BrieskornTriple(3, 4, 8)  # a certificate-family triple, too
+
+    def refused(t, pg):
+        if t == target:
+            raise InternalCheckError(f"{t}: record refused")
+        return exact(t, pg)
+
+    monkeypatch.setattr(classify, "invariants_from_pg", refused)
+    readers = {"q-recursion", "classification", "nr3-certificates", "pg-lower-bound"}
+    for result in run_all(8):
+        assert len(result.failures) <= result.checks, result.name
+        expected = [f"{target}: record refused"] if result.name in readers else []
+        assert result.failures == expected, result.name
