@@ -12,8 +12,8 @@ checks q(n) >= 0.  For n >= n_{a-1} the colength of closure(m^{n+1}) is
 sum_k C(n+2-n_k, 2) = a*C(n+2, 2) - (sum_k n_k)(n+1) + sum_k C(n_k, 2), which
 gives the Hilbert coefficients in O(a).  The oracles here take a triple or its
 pair; verify runs them once per pair: the staircase scan for nr(m), the
-colength oracle for v_n, S(n) term by term (drop_sum, as q_value sums it), and
-the finite-difference fit normal_hilbert_coefficients.
+colength oracle for v_n, S(n) term by term (drop_sum), and the
+finite-difference fit normal_hilbert_coefficients.
 """
 
 from __future__ import annotations
@@ -80,14 +80,6 @@ def drop_sum(t: BrieskornTriple | BrieskornPair, n: int) -> int:
     """S(n) = sum_{k>=1} min(n, k) * v_k term by term: the oracle of BrieskornPair.drop_sums."""
     br = normal_reduction_number(t)
     return sum(min(n, k) * colength_drop(t, k) for k in range(1, br + 1))
-
-
-def q_value(t: BrieskornTriple, pg: int, n: int) -> int:
-    """q(n*m) by the closed form p_g - S(n), with S(n) summed term by term."""
-    qn = pg - drop_sum(t, n)
-    if qn < 0:
-        raise InternalCheckError(f"{t}: q({n}*m) = {qn} < 0 with pg = {pg}")
-    return qn
 
 
 def q_sequence(t: BrieskornTriple, pg: int) -> QSequence:

@@ -9,6 +9,7 @@ lattice-point count for p_g.  No floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 
 
@@ -23,6 +24,11 @@ class HJFraction:
     numerator: int
     denominator: int
     expansion: tuple[int, ...]
+
+    def value(self) -> Fraction:
+        if self.denominator == 0:
+            raise ValueError("alpha/beta is undefined for beta = 0")
+        return Fraction(self.numerator, self.denominator)
 
 
 def hj_expand(alpha: int, beta: int) -> HJFraction:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
+from math import comb, gcd
 
 from .errors import InternalCheckError
 
@@ -98,6 +98,18 @@ class BrieskornTriple:
             raise ValueError(f"need a >= 2, got a={self.a}")
         if not self.a <= self.b <= self.c:
             raise ValueError(f"need a <= b <= c, got ({self.a}, {self.b}, {self.c})")
+
+    @cached_property
+    def d(self) -> int:
+        return gcd(self.a, self.b)
+
+    @cached_property
+    def a_prime(self) -> int:
+        return self.a // self.d
+
+    @cached_property
+    def b_prime(self) -> int:
+        return self.b // self.d
 
     @cached_property
     def pair(self) -> BrieskornPair:

@@ -4,13 +4,14 @@ The walk visits each pair 2 <= a <= b <= bound, then each triple (a, b, c)
 with b <= c <= bound.  Each suite is a pair check, a triple check, or both.
 A pair check compares the c-free data of ring.BrieskornPair with its oracles,
 once per pair, and hands what it returns to the suite's triple checks.  Each
-triple gets one p_g, one invariants record built from it, and one dual graph,
-each built on first use and read by every suite that needs it.  run_all walks
-once with all nine suites; each suite_* walks with its own alone.
+triple gets one p_g and one invariants record built from it, each built on
+first use and read by every suite that needs it; its dual graph is built once,
+by build_dual_graph's cache.  run_all walks once with all nine suites; each
+suite_* walks with its own alone.
 
 An InternalCheckError is recorded as a failure of its pair or triple, so the
-suite still reports; a p_g, record or graph that fails to build fails once in
-each suite that reads it.  Each counted check records at most one failure, and
+suite still reports.  Builds are deterministic, so a p_g, record or graph that
+fails to build raises again, and fails once, in each suite that reads it.  Each counted check records at most one failure, and
 an error ends the suite's checks of that triple, or of that pair and its
 triples, so a suite never reports more failures than checks.  This is the
 engine behind `brieskorn verify`.
@@ -51,20 +52,12 @@ def _recorded(result: SuiteResult, subject, check, *args):
 
 
 def _shared(t: ring.BrieskornTriple, built: dict, name: str):
-    """t's "pg", its "record" built from that p_g, or its "graph", each built once into
-    built; an InternalCheckError from a build is raised again to each reader."""
+    """t's "pg", or its "record" built from that p_g, each built once into built."""
     if name not in built:
-        try:
-            if name == "pg":
-                built[name] = genus.geometric_genus(t)
-            elif name == "record":
-                built[name] = classify.invariants_from_pg(t, _shared(t, built, "pg"))
-            else:
-                built[name] = resolution.dual_graph(t)
-        except InternalCheckError as exc:
-            built[name] = exc
-    if isinstance(built[name], InternalCheckError):
-        raise built[name]
+        if name == "pg":
+            built[name] = genus.geometric_genus(t)
+        else:
+            built[name] = classify.invariants_from_pg(t, _shared(t, built, "pg"))
     return built[name]
 
 
@@ -100,7 +93,7 @@ def _membership(t: ring.BrieskornTriple, result: SuiteResult, shared, _) -> None
 
 
 def _q_pair(p: ring.BrieskornPair, result: SuiteResult) -> list[int]:
-    """v_n vs the colength oracle; returns S(n) term by term, as q_value sums it."""
+    """v_n vs the colength oracle; returns S(n) summed term by term."""
     for n, v in enumerate(p.v):
         result.checks += 1
         oracle = filtration.colength_drop_oracle(p, n)
@@ -121,7 +114,7 @@ def _q_triple(t: ring.BrieskornTriple, result: SuiteResult, shared, drop_sums) -
         result.checks += 1
         expected = pg - drop_sums[n]
         if q != expected:
-            result.failures.append(f"{t}: q({n}m) = {q} != q_value {expected}")
+            result.failures.append(f"{t}: q({n}m) = {q} != p_g - S({n}) = {expected}")
     if t.a == 2:
         r = t.b // 2
         for i in range(1, seq.nr + 2):
@@ -149,7 +142,7 @@ def _fundamental_genus(t: ring.BrieskornTriple, result: SuiteResult, shared, _) 
     """Closed-form Z vs Laufer's computation sequence; where the p_f formula applies,
     two more checks: closed-form p_f vs adjunction on Z, and the -Z^2 formula."""
     result.checks += 1
-    graph = shared("graph")
+    graph = resolution.dual_graph(t)
     z = resolution.fundamental_cycle(graph)
     laufer = resolution.laufer_cycle(graph)
     for i, (x, y) in enumerate(zip(z.coefficients, laufer.coefficients)):
@@ -175,7 +168,7 @@ def _fundamental_genus(t: ring.BrieskornTriple, result: SuiteResult, shared, _) 
 def _negative_definite(t: ring.BrieskornTriple, result: SuiteResult, shared, _) -> None:
     """Leaf-to-center elimination, O(V); Bareiss is its oracle in tests/test_resolution.py."""
     result.checks += 1
-    if not resolution.is_negative_definite_tree(shared("graph")):
+    if not resolution.is_negative_definite_tree(resolution.dual_graph(t)):
         result.failures.append(f"{t}: intersection matrix not negative definite")
 
 
@@ -200,13 +193,16 @@ def _certificates(t: ring.BrieskornTriple, result: SuiteResult, shared, _) -> No
 
 
 def _pg_bound(t: ring.BrieskornTriple, result: SuiteResult, shared, _) -> None:
-    """floor_sum p_g vs the direct lattice loop; at that p_g, p_g >= C(nr, 2) + q(nr * m)."""
-    result.checks += 2
+    """floor_sum p_g vs the direct lattice loop; only where they agree, a second
+    check, read from the record: p_g >= C(nr, 2) + q(nr * m)."""
+    result.checks += 1
     pg = shared("pg")
     oracle = genus.geometric_genus_oracle(t)
     if pg != oracle:
         result.failures.append(f"{t}: p_g = {pg} != lattice loop {oracle}")
-    elif not shared("record").pg_bound_holds:
+        return
+    result.checks += 1
+    if not shared("record").pg_bound_holds:
         result.failures.append(f"{t}: p_g bound violated")
 
 

@@ -12,12 +12,13 @@ from brieskorn.classify import (
     invariants,
     verify_nr3_certificate,
 )
+from brieskorn.errors import InternalCheckError
 from brieskorn.filtration import (
     colength_drop,
+    drop_sum,
     normal_hilbert_coefficients,
     normal_reduction_number,
     nr_by_staircase_oracle,
-    q_value,
 )
 from brieskorn.genus import geometric_genus, q_of_m
 from brieskorn.resolution import (
@@ -31,6 +32,14 @@ from brieskorn.resolution import (
     seifert_data,
 )
 from brieskorn.ring import BrieskornTriple, new_triple
+
+
+def q_value(t, pg: int, n: int) -> int:
+    """q(n*m) = p_g - S(n), with S(n) summed term by term and checked >= 0."""
+    qn = pg - drop_sum(t, n)
+    if qn < 0:
+        raise InternalCheckError(f"{t}: q({n}*m) = {qn} < 0 with pg = {pg}")
+    return qn
 
 
 def triples(bound: int):

@@ -4,14 +4,22 @@ from brieskorn.errors import InternalCheckError
 from brieskorn.filtration import (
     colength_drop,
     colength_drop_oracle,
+    drop_sum,
     normal_hilbert_coefficients,
     normal_reduction_number,
     nr_by_staircase_oracle,
     q_sequence,
-    q_value,
 )
 from brieskorn.genus import geometric_genus
 from brieskorn.ring import BrieskornTriple, new_triple
+
+
+def q_value(t, pg: int, n: int) -> int:
+    """q(n*m) = p_g - S(n), with S(n) summed term by term; the oracle of q_sequence."""
+    qn = pg - drop_sum(t, n)
+    if qn < 0:
+        raise InternalCheckError(f"{t}: q({n}*m) = {qn} < 0 with pg = {pg}")
+    return qn
 
 
 def all_triples(bound: int):

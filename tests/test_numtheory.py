@@ -65,7 +65,7 @@ def test_round_trip_and_entry_bound(alpha, beta):
     assert all(c >= 2 for c in f.expansion)
     assert len(f.expansion) <= alpha - 1
     assert hj_evaluate(f.expansion) == Fraction(alpha, beta)
-    assert (f.numerator, f.denominator) == (alpha, beta)
+    assert f.value() == Fraction(alpha, beta)
 
 
 def test_mod_inverse_negation_known_values():

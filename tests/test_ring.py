@@ -37,6 +37,7 @@ def all_triples(bound: int):
 class TestTriple:
     def test_347_constants(self):
         t = new_triple(3, 4, 7)
+        assert t.d == 1
         assert t.n_seq == (0, 1, 2)
         assert (t.q0, t.q1, t.q2) == (28, 21, 12)
         assert t.D == 84
@@ -44,6 +45,8 @@ class TestTriple:
 
     def test_225_constants(self):
         t = new_triple(2, 2, 5)
+        assert t.d == 2
+        assert t.a_prime == 1 and t.b_prime == 1
         assert t.n_seq == (0, 1)
 
     def test_validation(self):

@@ -34,7 +34,8 @@ def test_q_recursion_suite_catches_a_wrong_drop_sum(monkeypatch):
 
     def off_once(p):
         # past the pair's own recursion check, and at neither n = 1 (the q(m)
-        # formula) nor n = nr (the p_g bound), so only q_value can see this
+        # formula) nor n = nr (the p_g bound), so only p_g - S(n) summed term
+        # by term can see this
         sums = list(exact(p))
         if p == target:
             sums[n] -= 1
@@ -46,7 +47,7 @@ def test_q_recursion_suite_catches_a_wrong_drop_sum(monkeypatch):
     assert [failure.split(":")[0] for failure in failed["q-recursion"]] == [
         str(target.triple(c)) for c in range(6, 10)
     ]
-    assert all(f"q({n}m)" in failure and "q_value" in failure for failure in failed["q-recursion"])
+    assert all(f"q({n}m)" in f and f"p_g - S({n})" in f for f in failed["q-recursion"])
 
 
 def test_hilbert_suite_catches_a_wrong_closed_form(monkeypatch):
@@ -70,6 +71,8 @@ def test_pg_bound_suite_catches_a_wrong_geometric_genus(monkeypatch):
     result = suite_pg_bound(5)
     assert not result.passed
     assert all("lattice loop" in failure for failure in result.failures)
+    # the bound is neither read nor counted where p_g is wrong
+    assert len(result.failures) == result.checks
 
 
 def test_membership_suite_catches_one_wrong_threshold(monkeypatch):
