@@ -1,6 +1,6 @@
 """Elementary exact integer utilities.
 
-Everything here is pure integer / rational arithmetic: Hirzebruch-Jung
+Everything here is pure integer arithmetic: Hirzebruch-Jung
 (descending) continued fractions and the negated modular inverse used to
 compute the branch data of resolution graphs, and the floor sum behind the
 lattice-point count for p_g.  No floating point.
@@ -9,7 +9,6 @@ lattice-point count for p_g.  No floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -24,11 +23,6 @@ class HJFraction:
     numerator: int
     denominator: int
     expansion: tuple[int, ...]
-
-    def value(self) -> Fraction:
-        if self.denominator == 0:
-            raise ValueError("alpha/beta is undefined for beta = 0")
-        return Fraction(self.numerator, self.denominator)
 
 
 def hj_expand(alpha: int, beta: int) -> HJFraction:

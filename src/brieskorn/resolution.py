@@ -3,32 +3,33 @@
 The graph is a star: a central curve of genus g and self-intersection -c_0,
 with ghat_1 + ghat_2 + ghat_3 chains of rational curves attached.  For each
 w the chain weights are the HJ expansion of alpha_w / beta_w, repeated in
-ghat_w identical copies; the branch is empty when alpha_w = 1.
+ghat_w identical copies; the branch is empty when alpha_w = 1.  DualGraph
+stores one chain and its copies per branch, O(sum of chain lengths); the
+expanded graph, Theta(B^2) vertices when b = c, is built on first read.
 
 The fundamental cycle is computed in closed form on the star: after an
-O(#chains) definiteness check (the orbifold Euler number e must be < 0), the
-center coefficient is the least x whose chain ceilings ceil(x r_j / alpha)
-keep the center pairing <= 0, and the result is checked anti-nef.  The search
-for x skips every x that a chain kind provably rules out (gcd(alpha, beta) = 1
-forces alpha | x while the kind's m copies give m/alpha > |e| x), so it tests
-a few candidates instead of every x up to the center coefficient.  Laufer's
+O(sum of chain lengths) definiteness check (every chain definite and the
+orbifold Euler number e < 0), the center coefficient is the least x whose
+chain ceilings ceil(x r_j / alpha) keep the center pairing <= 0, and the
+result is checked anti-nef on one copy of each chain.  The search for x skips
+every x that a chain kind provably rules out (gcd(alpha, beta) = 1 forces
+alpha | x while the kind's m copies give m/alpha > |e| x), so it tests a few
+candidates instead of every x up to the center coefficient.  Laufer's
 computation sequence (start at the all-ones cycle and bump any coefficient
-whose pairing with the cycle is still positive) is its oracle in `verify`,
-with a step bound proved from the closed-form cycle.  Definiteness of the
-whole graph is checked by exact leaf-to-center elimination on the tree, with
-the dense Bareiss minor test as its oracle in the tests.  Neither seifert_data
-nor fundamental_genus caches: classify.invariants calls each once per triple.
-build_dual_graph and fundamental_cycle keep their 128 latest results, so a
-verify walk or a scan does not hold every graph it has built.
+whose pairing with the cycle is still positive) is its oracle in `verify`, on
+the expanded graph, with a step bound proved from the closed-form cycle.
+Definiteness and the adjunction p_f are summed on the star with each chain
+kind weighted by its copies; the dense Bareiss minor test and per-vertex
+adjunction on the expanded graph are their oracles in the tests.  Nothing
+here caches: a star costs no more to rebuild than to look up.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from math import ceil, gcd, lcm
+from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 
 from .errors import FormulaInapplicableError, InternalCheckError
 from .numtheory import hj_expand, mod_inverse_negation
@@ -51,16 +52,46 @@ class SeifertData:
 
 @dataclass(frozen=True)
 class DualGraph:
-    """Vertices carry (self_intersection, genus); vertex 0 is the central curve.
+    """The star: center (self_intersection, genus) and one (w, chain, copies) per branch.
 
-    branch_index[i] is (w, copy, position) for chain vertices, None for the
-    center.  Vertices are ordered: center, then w ascending, copies in order,
-    chain positions ascending (position 0 attaches to the center).
+    chain lists the self-intersections of one copy of branch w's chain, center
+    outward; the branch is copies identical chains, each attached to the center
+    and to nothing else.  vertices, neighbors and branch_index expand the star
+    on first read: vertex i carries (self_intersection, genus), vertex 0 is the
+    center, and branch_index[i] is (w, copy, position) for chain vertices, None
+    for the center.  Vertices are ordered: center, then w ascending, copies in
+    order, chain positions ascending (position 0 attaches to the center).
     """
 
-    vertices: tuple[tuple[int, int], ...]
-    neighbors: tuple[tuple[int, ...], ...]
-    branch_index: tuple[tuple[int, int, int] | None, ...]
+    center: tuple[int, int]
+    branches: tuple[tuple[int, tuple[int, ...], int], ...]
+
+    @cached_property
+    def vertices(self) -> tuple[tuple[int, int], ...]:
+        return (self.center,) + tuple(
+            (weight, 0) for _, chain, copies in self.branches for weight in chain * copies
+        )
+
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        neighbors: list[list[int]] = [[]]
+        for _, chain, copies in self.branches:
+            for _ in range(copies):
+                previous = 0
+                for _ in chain:
+                    neighbors.append([previous])
+                    neighbors[previous].append(len(neighbors) - 1)
+                    previous = len(neighbors) - 1
+        return tuple(map(tuple, neighbors))
+
+    @cached_property
+    def branch_index(self) -> tuple[tuple[int, int, int] | None, ...]:
+        return (None,) + tuple(
+            (w, copy, position)
+            for w, chain, copies in self.branches
+            for copy in range(copies)
+            for position in range(len(chain))
+        )
 
 
 @dataclass(frozen=True)
@@ -107,30 +138,15 @@ def seifert_data(t: BrieskornTriple) -> SeifertData:
     )
 
 
-@lru_cache(maxsize=128)
 def build_dual_graph(sd: SeifertData) -> DualGraph:
-    vertices: list[tuple[int, int]] = [(-sd.center_weight, sd.genus)]
-    neighbors: list[list[int]] = [[]]
-    branch_index: list[tuple[int, int, int] | None] = [None]
-
-    for w in range(3):
-        if sd.alpha[w] == 1:
-            continue  # empty branch
-        chain = hj_expand(sd.alpha[w], sd.beta[w]).expansion
-        for copy in range(sd.ghat[w]):
-            previous = 0
-            for position, c in enumerate(chain):
-                idx = len(vertices)
-                vertices.append((-c, 0))
-                neighbors.append([previous])
-                neighbors[previous].append(idx)
-                branch_index.append((w + 1, copy, position))
-                previous = idx
-
+    """The star record, in O(sum of chain lengths): one chain per nonempty branch."""
     return DualGraph(
-        vertices=tuple(vertices),
-        neighbors=tuple(tuple(adj) for adj in neighbors),
-        branch_index=tuple(branch_index),
+        center=(-sd.center_weight, sd.genus),
+        branches=tuple(
+            (w + 1, tuple(-c for c in hj_expand(sd.alpha[w], sd.beta[w]).expansion), sd.ghat[w])
+            for w in range(3)
+            if sd.alpha[w] != 1  # empty branch
+        ),
     )
 
 
@@ -138,20 +154,44 @@ def dual_graph(t: BrieskornTriple) -> DualGraph:
     return build_dual_graph(seifert_data(t))
 
 
-@lru_cache(maxsize=128)
-def fundamental_cycle(g: DualGraph) -> Cycle:
-    """Minimal anti-nef cycle Z_min of the star, in closed form.
+def _chain_kinds(g: DualGraph) -> tuple[dict, int, int] | None:
+    """Each distinct chain with its copies m and continuant remainders, and e.
 
-    For chain weights b_1..b_s (center outward), the continuant remainders
-    r_{s+1} = 0, r_s = 1, r_{j-1} = b_j r_j - r_{j+1} give alpha = r_0 and
-    beta = r_1.  The star is negative definite iff every r_j > 0 and the
-    orbifold Euler number e = -c_0 + sum beta/alpha over the chains is < 0.
-    A cycle with center coefficient x that is anti-nef at the chain vertices
-    is >= x r_j / alpha at chain vertex j (the chain's form is negative
-    definite), so >= ceil(x r_j / alpha).  Hence Z_min's center coefficient
-    satisfies sum ceil(x beta/alpha) <= c_0 x; the least such x >= 1 with
-    those ceilings, once checked anti-nef, is Z_min.  The search stops by
-    x = #chains/|e|, since each ceiling exceeds x beta/alpha by less than 1.
+    For chain weights -b_1..-b_s (center outward), the remainders are
+    r_{s+1} = 0, r_s = 1, r_{j-1} = b_j r_j - r_{j+1}, so alpha = r_0 and
+    beta = r_1.  Eliminating a chain from its tip, the pivot at position j is
+    -r_{j-1}/r_j, so the chain is negative definite iff every r_j > 0; then
+    the center's pivot is the orbifold Euler number e = -c_0 + sum m beta/alpha,
+    returned as its numerator over ell = lcm(alpha).  None if a chain is not
+    negative definite.
+    """
+    copies: dict[tuple[int, ...], int] = {}
+    for _, chain, m in g.branches:
+        copies[chain] = copies.get(chain, 0) + m
+    kinds: dict[tuple[int, ...], tuple[int, list[int]]] = {}
+    for chain, m in copies.items():
+        r = [0, 1]  # r_{s+1}, r_s, then r_{s-1}, ..., r_0
+        for w in reversed(chain):
+            r.append(-w * r[-1] - r[-2])
+        if min(r[1:]) <= 0:
+            return None
+        kinds[chain] = (m, r[:0:-1])  # r_0, ..., r_s
+    ell = lcm(*(r[0] for _, r in kinds.values()))
+    e = g.center[0] * ell + sum(m * r[1] * (ell // r[0]) for m, r in kinds.values())
+    return kinds, e, ell
+
+
+def fundamental_cycle(g: DualGraph) -> Cycle:
+    """Minimal anti-nef cycle Z_min of the star, in closed form, in O(sum of chain lengths).
+
+    The star is negative definite iff every chain is and the orbifold Euler
+    number e < 0 (see _chain_kinds).  A cycle with center coefficient x that
+    is anti-nef at the chain vertices is >= x r_j / alpha at chain vertex j
+    (the chain's form is negative definite), so >= ceil(x r_j / alpha).
+    Hence Z_min's center coefficient satisfies sum ceil(x beta/alpha) <= c_0 x;
+    the least such x >= 1 with those ceilings, once checked anti-nef, is
+    Z_min.  The search stops by x = #chains/|e|, since each ceiling exceeds
+    x beta/alpha by less than 1.
 
     The search skips every x that provably fails.  Consecutive remainders
     are coprime (gcd(r_{j-1}, r_j) = gcd(r_j, r_{j+1}) = ... = gcd(1, 0)), so
@@ -163,26 +203,21 @@ def fundamental_cycle(g: DualGraph) -> Cycle:
     only shrinks as x grows, at the thresholds ceil(m / (alpha |e|)).  So x is
     rounded up to a multiple of the forced alphas' lcm, but never past the
     next threshold, and tested; the result is still the least x that passes.
-    """
-    chains: dict[tuple[int, int], list[int]] = {}
-    for i, info in enumerate(g.branch_index):
-        if info is not None:
-            chains.setdefault(info[:2], []).append(i)
-    weights = {key: tuple(-g.vertices[i][0] for i in chain) for key, chain in chains.items()}
-    copies = Counter(weights.values())
-    remainders: dict[tuple[int, ...], list[int]] = {}
-    for kind in copies:
-        r = [0, 1]  # r_{s+1}, r_s, then r_{s-1}, ..., r_0
-        for b in reversed(kind):
-            r.append(b * r[-1] - r[-2])
-        remainders[kind] = r[:0:-1]  # r_0, ..., r_s
-    terms = [(m, remainders[w][1], remainders[w][0]) for w, m in copies.items()]
-    c0 = -g.vertices[0][0]
-    e = -c0 + sum(Fraction(m * beta, alpha) for m, beta, alpha in terms)
-    if e >= 0 or any(min(r) <= 0 for r in remainders.values()):
-        raise InternalCheckError(f"star is not negative definite (e = {e})")
 
-    thresholds = [(ceil(m / (alpha * -e)), alpha) for m, _, alpha in terms]
+    Copies of a chain get equal coefficients, so positivity and anti-nefness
+    are checked on one copy per kind and at the center, where the pairing is
+    -c_0 x + sum m z_1.  The full cycle is those coefficients repeated.
+    """
+    star = _chain_kinds(g)
+    if star is None or star[1] >= 0:
+        why = "a chain is not" if star is None else f"e = {star[1]}/{star[2]} >= 0"
+        raise InternalCheckError(f"star is not negative definite ({why})")
+    kinds, e, ell = star
+    terms = [(m, r[1], r[0]) for m, r in kinds.values()]
+    c0 = -g.center[0]
+
+    # ceil(m / (alpha |e|)) with |e| = -e / ell
+    thresholds = [(-(m * (ell // alpha) // e), alpha) for m, _, alpha in terms]
     x = 1
     while True:
         forced = [(threshold, alpha) for threshold, alpha in thresholds if threshold > x]
@@ -192,15 +227,23 @@ def fundamental_cycle(g: DualGraph) -> Cycle:
         if sum(m * -(-x * beta // alpha) for m, beta, alpha in terms) <= c0 * x:
             break
         x += 1
-    z = [x] * len(g.vertices)
-    for key, chain in chains.items():
-        r = remainders[weights[key]]
-        for j, i in enumerate(chain, 1):
-            z[i] = -(-x * r[j] // r[0])
-    cycle = Cycle(tuple(z))
-    if min(z) < 1 or any(cycle_pairing(g, cycle, i) > 0 for i in range(len(z))):
+
+    parts = {}
+    anti_nef = True
+    center_pairing = -c0 * x
+    for chain, (m, r) in kinds.items():
+        z = [x, *(-(-x * r_j // r[0]) for r_j in r[1:]), 0]  # center, chain, past the tip
+        anti_nef = anti_nef and min(z[:-1]) >= 1 and all(
+            z[j] * w + z[j - 1] + z[j + 1] <= 0 for j, w in enumerate(chain, 1)
+        )
+        parts[chain] = tuple(z[1:-1])
+        center_pairing += m * z[1]
+    if not anti_nef or center_pairing > 0:
         raise InternalCheckError("closed-form fundamental cycle is not positive and anti-nef")
-    return cycle
+    z = (x,)
+    for _, chain, copies in g.branches:
+        z += parts[chain] * copies
+    return Cycle(z)
 
 
 def laufer_cycle(g: DualGraph) -> Cycle:
@@ -257,10 +300,24 @@ def canonical_degree(g: DualGraph, i: int) -> int:
 
 
 def fundamental_genus_oracle(g: DualGraph) -> int:
-    """p_a(Z_E) = 1 + (Z^2 + Z.K)/2 from the intersection form."""
-    z = fundamental_cycle(g)
-    zz = cycle_self_intersection(g, z)
-    zk = sum(z.coefficients[i] * canonical_degree(g, i) for i in range(len(g.vertices)))
+    """p_a(Z_E) = 1 + (Z^2 + Z.K)/2 from the intersection form, summed on the star.
+
+    Z^2 = sum z_i^2 w_i + 2 sum over edges z_i z_j and Z.K = sum z_i K.E_i,
+    summed over one copy of each branch's chain times its copies: Z_min is
+    unique, so the symmetry permuting the copies fixes it.
+    """
+    z = fundamental_cycle(g).coefficients
+    (w0, genus), x = g.center, z[0]
+    zz = w0 * x * x
+    zk = (-w0 + 2 * genus - 2) * x
+    i = 1
+    for _, chain, copies in g.branches:
+        zc = z[i : i + len(chain)]
+        i += copies * len(chain)
+        zz += copies * (
+            sum(w * c * c for w, c in zip(chain, zc)) + 2 * sum(map(mul, (x, *zc), zc))
+        )
+        zk += copies * sum((-w - 2) * c for w, c in zip(chain, zc))
     if (zz + zk) % 2 != 0:
         raise InternalCheckError("Z^2 + Z.K is odd; adjunction violated")
     return 1 + (zz + zk) // 2
@@ -299,31 +356,16 @@ def expected_minus_z_squared(t: BrieskornTriple) -> int:
 
 
 def is_negative_definite_tree(g: DualGraph) -> bool:
-    """Exact leaf-to-center elimination on the tree: O(V) Fraction steps.
+    """Exact tip-to-center elimination on the star, once per chain kind.
 
-    Eliminating leaves first creates no fill-in, so vertex i's pivot is
-    w_i - sum(1 / pivot_c) over its children c.  The pivots are the ratios
+    Eliminating leaves first creates no fill-in, and the pivots are the ratios
     of consecutive leading minors in that order, so the form is negative
-    definite iff every pivot is < 0.  Its oracle is the dense Bareiss minor
-    test in tests/test_resolution.py.
+    definite iff every pivot is < 0: each chain's, then the center's, which is
+    e (see _chain_kinds).  Its oracle is the dense Bareiss minor test in
+    tests/test_resolution.py.
     """
-    n = len(g.vertices)
-    parent: list[int | None] = [None] * n
-    order = [0]
-    for i in order:
-        for j in g.neighbors[i]:
-            if j != 0 and parent[j] is None:
-                parent[j] = i
-                order.append(j)
-    if len(order) != n or sum(map(len, g.neighbors)) != 2 * (n - 1):
-        raise InternalCheckError("dual graph is not a tree")
-    pivot = [Fraction(w) for w, _ in g.vertices]
-    for i in reversed(order):
-        if pivot[i] >= 0:
-            return False
-        if parent[i] is not None:
-            pivot[parent[i]] -= 1 / pivot[i]
-    return True
+    star = _chain_kinds(g)
+    return star is not None and star[1] < 0
 
 
 def to_dot(g: DualGraph) -> str:

@@ -5,9 +5,10 @@ with b <= c <= bound.  Each suite is a pair check, a triple check, or both.
 A pair check compares the c-free data of ring.BrieskornPair with its oracles,
 once per pair, and hands what it returns to the suite's triple checks.  Each
 triple gets one p_g and one invariants record built from it, each built on
-first use and read by every suite that needs it; its dual graph is built once,
-by build_dual_graph's cache.  run_all walks once with all nine suites; each
-suite_* walks with its own alone.
+first use and read by every suite that needs it.  Each graph suite builds
+the triple's star record itself, in O(sum of chain lengths), and only the
+fundamental-genus suite's per-vertex oracles expand it.  run_all walks once
+with all nine suites; each suite_* walks with its own alone.
 
 An InternalCheckError is recorded as a failure of its pair or triple, so the
 suite still reports.  Builds are deterministic, so a p_g, record or graph that
@@ -166,7 +167,8 @@ def _fundamental_genus(t: ring.BrieskornTriple, result: SuiteResult, shared, _) 
 
 
 def _negative_definite(t: ring.BrieskornTriple, result: SuiteResult, shared, _) -> None:
-    """Leaf-to-center elimination, O(V); Bareiss is its oracle in tests/test_resolution.py."""
+    """Tip-to-center elimination on the star, once per chain kind; Bareiss is its
+    oracle in tests/test_resolution.py."""
     result.checks += 1
     if not resolution.is_negative_definite_tree(resolution.dual_graph(t)):
         result.failures.append(f"{t}: intersection matrix not negative definite")

@@ -140,7 +140,8 @@ class TestParserReuse:
 
 
 class TestReferenceDigests:
-    """Output is byte-identical to the digests recorded in perfbench/reference.json."""
+    """Output is byte-identical to the digests recorded in perfbench/reference.json,
+    and graph output to digests recorded before the dual graph became a star record."""
 
     REFERENCE = json.loads(
         (Path(__file__).resolve().parent.parent / "perfbench" / "reference.json").read_text()
@@ -170,6 +171,27 @@ class TestReferenceDigests:
         slabs = self.REFERENCE["scan_box"]
         assert sorted(map(int, slabs)) == list(range(2, 11))
         runs = [(["scan", a, "2..40", "2..40"], d) for a, d in slabs.items()]
+        assert self.mismatches(runs) == []
+
+    # (2, 2, 3) has empty branches, (2, 4, 8) a genus-1 center, (6, 10, 15) is
+    # outside the p_f formula, b = c in the last three; V = 14,161 at (119, 120, 120)
+    GRAPHS = {
+        (2, 3, 5): ("a5297193798dce8f", "4a7c478c3031b040"),
+        (3, 4, 7): ("13600f0640d82e06", "41c0b37da2a566f5"),
+        (2, 2, 3): ("2e39d38f2388f304", "6fd82e1182f987ff"),
+        (2, 4, 8): ("6a2d0b64db742424", "523c9a659b123af1"),
+        (6, 10, 15): ("0ce96ddf5a58153c", "699be33813309216"),
+        (12, 12, 12): ("73b75b8ff208ac59", "b931c1be1120a72b"),
+        (30, 30, 30): ("5f661b2d8bbd3d11", "12a1365cfd1ca234"),
+        (119, 120, 120): ("98555e7e3ece9392", "1e03172448448533"),
+    }
+
+    def test_graph_dot_and_json(self):
+        runs = [
+            (["graph", *map(str, triple), option], digest)
+            for triple, digests in self.GRAPHS.items()
+            for option, digest in zip(["--dot", "--json"], digests)
+        ]
         assert self.mismatches(runs) == []
 
 

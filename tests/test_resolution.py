@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -30,20 +31,20 @@ def all_triples(bound: int):
                 yield BrieskornTriple(a, b, c)
 
 
+def sample_to_120():
+    rng = random.Random(120)
+    for _ in range(50):
+        yield new_triple(*sorted(rng.randint(30, 120) for _ in range(3)))
+
+
 def star(center: int, chains: list[list[int]]) -> DualGraph:
-    """A hand-built star of genus-0 curves; each chain is listed center outward."""
-    vertices: list[tuple[int, int]] = [(center, 0)]
-    neighbors: list[list[int]] = [[]]
-    branch_index: list[tuple[int, int, int] | None] = [None]
-    for copy, chain in enumerate(chains):
-        previous = 0
-        for position, weight in enumerate(chain):
-            vertices.append((weight, 0))
-            neighbors.append([previous])
-            neighbors[previous].append(len(vertices) - 1)
-            branch_index.append((1, copy, position))
-            previous = len(vertices) - 1
-    return DualGraph(tuple(vertices), tuple(map(tuple, neighbors)), tuple(branch_index))
+    """A hand-built star of genus-0 curves; each chain is listed center outward.
+
+    Identical chains become one branch, numbered in order of first appearance,
+    with their count as its copies.
+    """
+    copies = Counter(map(tuple, chains))
+    return DualGraph((center, 0), tuple((w, *kind) for w, kind in enumerate(copies.items(), 1)))
 
 
 def intersection_matrix(g: DualGraph) -> list[list[int]]:
@@ -86,8 +87,31 @@ def is_negative_definite(matrix: list[list[int]]) -> bool:
     )
 
 
-# e = -1 + 1/2 + 1/2 = 0 (semi-definite) and e = -1 + 3/2 > 0 (indefinite)
-NOT_NEGATIVE_DEFINITE = [star(-1, [[-2], [-2]]), star(-1, [[-2], [-2], [-2]])]
+def adjunction_per_vertex(g: DualGraph) -> int:
+    """p_a(Z) = 1 + (Z^2 + Z.K)/2 vertex by vertex on the expanded graph: the
+    oracle of the star sums in resolution.fundamental_genus_oracle."""
+    z = fundamental_cycle(g)
+    zk = sum(c * canonical_degree(g, i) for i, c in enumerate(z.coefficients))
+    return 1 + (cycle_self_intersection(g, z) + zk) // 2
+
+
+# e = -1 + 1/2 + 1/2 = 0 (semi-definite), e = -1 + 3/2 > 0 (indefinite),
+# e = -2 + 4/2 = 0 with one kind in four copies, and a chain that is not
+# definite on its own ([-1, -1] has alpha = r_0 = 0); Bareiss classifies
+# both lists in TestNegativeDefiniteness
+NOT_NEGATIVE_DEFINITE = [
+    star(-1, [[-2], [-2]]),
+    star(-1, [[-2], [-2], [-2]]),
+    star(-2, [[-2]] * 4),
+    star(-5, [[-1, -1]]),
+]
+# multi-copy stars past e = 0: e = -3 + 4/2 = -1, e = -2 + 5/3 = -1/3, and
+# two kinds, e = -4 + 2 * 1/2 + 3 * 2/3 = -1
+NEGATIVE_DEFINITE = [
+    star(-3, [[-2]] * 4),
+    star(-2, [[-3]] * 5),
+    star(-4, [[-2]] * 2 + [[-2, -2]] * 3),
+]
 
 
 class TestSeifertData:
@@ -210,9 +234,7 @@ class TestFundamentalCycle:
         assert (z.coefficients[0], sum(z.coefficients)) == (center, total)
 
     def test_closed_form_matches_laufer_on_a_sample_to_120(self):
-        rng = random.Random(120)
-        for _ in range(50):
-            t = new_triple(*sorted(rng.randint(30, 120) for _ in range(3)))
+        for t in sample_to_120():
             g = dual_graph(t)
             assert fundamental_cycle(g) == laufer_cycle(g), t
 
@@ -220,6 +242,20 @@ class TestFundamentalCycle:
         for g in NOT_NEGATIVE_DEFINITE:
             with pytest.raises(InternalCheckError, match="not negative definite"):
                 fundamental_cycle(g)
+
+    def test_multi_copy_stars_match_laufer(self):
+        for g in NEGATIVE_DEFINITE:
+            assert fundamental_cycle(g) == laufer_cycle(g), g
+
+    def test_theta_b_squared_star_without_its_expansion(self):
+        # b = c: ghat_1 = 840 copies of an 838-vertex chain, V = 703,921
+        t = new_triple(839, 840, 840)
+        g = dual_graph(t)
+        z = fundamental_cycle(g).coefficients
+        assert (len(z), z[0], sum(z)) == (703921, 839, 295295279)
+        assert fundamental_genus_oracle(g) == fundamental_genus_formula(t) == 350703
+        assert is_negative_definite_tree(g)
+        assert not {"vertices", "neighbors", "branch_index"} & vars(g).keys()
 
 
 class TestFundamentalGenus:
@@ -254,6 +290,13 @@ class TestFundamentalGenus:
             z = fundamental_cycle(g)
             assert -cycle_self_intersection(g, z) == expected_minus_z_squared(t)
 
+    def test_star_sums_match_per_vertex_adjunction(self):
+        for t in [*all_triples(25), *sample_to_120()]:
+            g = dual_graph(t)
+            assert fundamental_genus_oracle(g) == adjunction_per_vertex(g), t
+        for g in NEGATIVE_DEFINITE:
+            assert fundamental_genus_oracle(g) == adjunction_per_vertex(g), g
+
     def test_adjunction_terms(self):
         g = dual_graph(new_triple(2, 3, 5))
         # rational -2 curves have K.E = 0
@@ -279,6 +322,9 @@ class TestNegativeDefiniteness:
         for g in NOT_NEGATIVE_DEFINITE:
             assert not is_negative_definite(intersection_matrix(g))
             assert not is_negative_definite_tree(g)
+        for g in NEGATIVE_DEFINITE:
+            assert is_negative_definite(intersection_matrix(g))
+            assert is_negative_definite_tree(g)
 
 
 class TestSerialization:
