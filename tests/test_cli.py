@@ -97,8 +97,9 @@ class TestVerify:
         assert all(line.startswith("ok") for line in lines)
         assert lines[-1].startswith("ok total:")
 
-    def test_bad_bound_exits_2(self):
+    def test_bad_bound_exits_2(self, capsys):
         assert main(["verify", "1"]) == 2
+        assert capsys.readouterr().err == "brieskorn: bound must be at least 2, got 1\n"
 
 
 class TestParserReuse:

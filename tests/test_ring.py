@@ -2,12 +2,12 @@ from dataclasses import fields
 from itertools import product
 
 import pytest
+from triples import triples
 
 from brieskorn.filtration import q_sequence
 from brieskorn.genus import geometric_genus
 from brieskorn.ring import (
     BrieskornPair,
-    BrieskornTriple,
     Monomial,
     StaircaseIdeal,
     closure_of_m_power,
@@ -25,13 +25,6 @@ def brute_force_colength(ideal: StaircaseIdeal) -> int:
     for e in ideal.thresholds:
         total += sum(1 for i, j in product(range(e), repeat=2) if i + j < e)
     return total
-
-
-def all_triples(bound: int):
-    for a in range(2, bound + 1):
-        for b in range(a, bound + 1):
-            for c in range(b, bound + 1):
-                yield BrieskornTriple(a, b, c)
 
 
 class TestTriple:
@@ -53,7 +46,7 @@ class TestTriple:
             new_triple(1, 2, 3)
 
     def test_n_seq_strictly_increasing_from_one(self):
-        for t in all_triples(15):
+        for t in triples(15):
             n = t.n_seq
             assert n[0] == 0
             assert all(n[k] >= k for k in range(t.a))
@@ -133,7 +126,7 @@ class TestColength:
         assert brute_force_colength(ideal) == 7
 
     def test_agrees_with_enumeration(self):
-        for t in all_triples(7):
+        for t in triples(7):
             for n in range(0, 8):
                 ideal = closure_of_m_power(t, n)
                 assert colength(ideal) == brute_force_colength(ideal)
@@ -157,7 +150,7 @@ class TestPowerMembershipOracle:
 
     def test_agrees_with_staircase(self):
         # both sides depend on i, j only through i + j
-        for t in all_triples(12):
+        for t in triples(12):
             top = t.n_seq[t.a - 1] + 2
             for n in range(1, top + 1):
                 ideal = closure_of_m_power(t, n)
@@ -168,7 +161,7 @@ class TestPowerMembershipOracle:
                         assert contains(ideal, m) == member
 
     def test_degree_is_where_the_oracle_turns_true(self):
-        for t in all_triples(12):
+        for t in triples(12):
             for k in range(t.a):
                 for n in range(1, t.n_seq[t.a - 1] + 3):
                     degree = power_membership_degree(t, k, n)
@@ -185,16 +178,8 @@ class TestPowerMembershipOracle:
             with pytest.raises(ValueError):
                 power_membership_degree(t, k, n)
 
-    def test_socle_lemma(self):
-        # x^k lies in closure(m^n) iff n <= n_k
-        for t in all_triples(12):
-            for k in range(t.a):
-                for n in range(1, t.n_seq[t.a - 1] + 3):
-                    member = power_membership_degree(t, k, n) == 0  # i + j = 0
-                    assert member == (n <= t.n_seq[k])
-
     def test_sandwich_q_power_inside_closure(self):
-        for t in all_triples(8):
+        for t in triples(8):
             for n in range(1, 8):
                 ideal = closure_of_m_power(t, n)
                 assert ideal.thresholds[0] <= n

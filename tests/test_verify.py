@@ -77,22 +77,43 @@ def test_pg_bound_suite_catches_a_wrong_geometric_genus(monkeypatch):
 
 def test_membership_suite_catches_one_wrong_threshold(monkeypatch):
     exact = ring.closure_of_m_power
-    target, k, n = ring.BrieskornTriple(3, 4, 7), 0, 2
+    target, k, n = ring.BrieskornPair(3, 4), 0, 2
 
-    def off_once(t, power):
+    def off_once(p, power):
         # e_0 = 2 here, so x^0 stays outside the ideal and the socle test is blind
-        ideal = exact(t, power)
-        if (t, power) != (target, n):
+        ideal = exact(p, power)
+        if (p, power) != (target, n):
             return ideal
         e = list(ideal.thresholds)
         e[k] += 1
-        return ring.StaircaseIdeal(t, tuple(e))
+        return ring.StaircaseIdeal(p, tuple(e))
 
     monkeypatch.setattr(ring, "closure_of_m_power", off_once)
     result = suite_membership_oracle(7)
-    assert len(result.failures) == 1
-    assert result.failures[0].startswith(str(target))
-    assert f"k={k}, n={n}" in result.failures[0]
+    # the pair's staircase is wrong, so every triple of the pair sees it
+    assert [failure.split(":")[0] for failure in result.failures] == [
+        str(target.triple(c)) for c in range(4, 8)
+    ]
+    assert all(f"k={k}, n={n}" in failure for failure in result.failures)
+
+
+def test_membership_suite_builds_each_staircase_once_per_pair(monkeypatch):
+    exact = ring.closure_of_m_power
+    calls = Counter()
+
+    def counted(t, n):
+        calls[t.a, t.b, n] += 1
+        return exact(t, n)
+
+    monkeypatch.setattr(ring, "closure_of_m_power", counted)
+    assert suite_membership_oracle(8).passed
+    built = [
+        (a, b, n)
+        for a in range(2, 9)
+        for b in range(a, 9)
+        for n in range(1, ring.BrieskornPair(a, b).nr + 3)
+    ]
+    assert calls == Counter(built)
 
 
 def test_membership_suite_catches_a_wrong_expansion_degree(monkeypatch):
