@@ -2,13 +2,14 @@
 
 Every check is exact integer arithmetic; there are no tolerances.  Each test
 prints a single PASS/FAIL line so the gate can be read off the verbose run.
-Criteria 1, 4, 6, 7 and 10 are verify suites: they read one run_all(25) walk,
-whose per-suite check counts are pinned below.
+Criteria 1, 4, 6, 7 and 10 are verify suites: they read the session's one
+run_all(25) walk (tests/conftest.py), whose per-suite check counts are pinned
+below.  Criterion 2 checks every p_g table of tests/test_genus.py.
 """
 
 from math import comb
 
-import pytest
+from test_genus import PG_TABLES, pg_table_failures
 from triples import triples
 
 from brieskorn.classify import (
@@ -27,7 +28,6 @@ from brieskorn.resolution import (
     seifert_data,
 )
 from brieskorn.ring import new_triple
-from brieskorn.verify import run_all
 
 # a suite that quietly narrows changes its count
 WALK_CHECKS = {
@@ -43,12 +43,6 @@ WALK_CHECKS = {
 }
 
 
-@pytest.fixture(scope="module")
-def walk():
-    """Every suite's result from one verify.run_all(25) walk, by name."""
-    return {result.name: result for result in run_all(25)}
-
-
 def report(name: str, failures: list):
     status = "PASS" if not failures else "FAIL"
     print(f"[{status}] {name}" + (f" ({len(failures)} failures)" if failures else ""))
@@ -62,25 +56,7 @@ def test_criterion_01_nr_formula_vs_oracle(walk):
 
 
 def test_criterion_02_pg_families_and_tables():
-    failures = []
-    for p in range(1, 11):
-        if geometric_genus(new_triple(2, 3, 6 * p + 1)) != p:
-            failures.append((2, 3, 6 * p + 1))
-        if geometric_genus(new_triple(2, 4, 4 * p + 1)) != p:
-            failures.append((2, 4, 4 * p + 1))
-    # (2, 6) table: twelve residues with period 12 in c (the stated period 10
-    # is inconsistent with the listed residues i = 0..11 and with the
-    # boundary classification at (2, 6, 6..8); period 12 reproduces exactly)
-    offsets_26 = [0, 0, 0, 1, 1, 1, 3, 3, 3, 4, 4, 4]
-    for k in range(1, 5):
-        for i, off in enumerate(offsets_26):
-            if geometric_genus(new_triple(2, 6, 12 * k + i)) != 6 * k + off:
-                failures.append((2, 6, 12 * k + i))
-    offsets_27 = [0, 0, 0, 1, 1, 2, 3, 3, 3, 4, 5, 5, 6, 6]
-    for k in range(1, 5):
-        for i, off in enumerate(offsets_27):
-            if geometric_genus(new_triple(2, 7, 14 * k + i)) != 9 * k + off:
-                failures.append((2, 7, 14 * k + i))
+    failures = [abc for name in PG_TABLES for abc in pg_table_failures(name)]
     report(
         "criterion 2: p_g families (2,3,6p+1), (2,4,4p+1) and the (2,6), (2,7) tables, k <= 4",
         failures,

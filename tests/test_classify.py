@@ -20,6 +20,10 @@ class TestRational:
 
 
 class TestElliptic:
+    def test_two_paths_agree(self, walk_failures):
+        # the record raises when its p_f path and the elliptic list disagree
+        assert not walk_failures("classification", "elliptic list says")
+
     def test_members_and_nonmembers(self):
         assert invariants(new_triple(2, 3, 7)).elliptic
         assert invariants(new_triple(2, 4, 100)).elliptic
@@ -44,6 +48,10 @@ class TestBoundary:
         assert not invariants(new_triple(2, 4, 8)).boundary
         assert not invariants(new_triple(3, 4, 7)).boundary
         assert not invariants(new_triple(3, 7, 7)).boundary
+
+    def test_count_matches_list(self, walk_failures):
+        # the record raises when the p_g count and the boundary list disagree
+        assert not walk_failures("classification", "boundary list says")
 
     def test_family_nr_values(self):
         assert boundary_family_nr(new_triple(2, 2, 7)) == 1

@@ -25,6 +25,9 @@ class TestNormalReductionNumber:
         for t in triples(20):
             assert normal_reduction_number(t) == (t.a - 1) * t.b // t.a
 
+    def test_oracle_agrees(self, walk_failures):
+        assert not walk_failures("nr-formula-vs-staircase")
+
     def test_independent_of_c(self):
         for b in range(2, 12):
             values = {normal_reduction_number(new_triple(2, b, c)) for c in range(b, 30)}
@@ -83,6 +86,10 @@ class TestQSequence:
             assert seq.q[seq.nr] == seq.q[seq.nr + 1]
             assert all(seq.q[n] >= seq.q[n + 1] for n in range(seq.nr + 1))
 
+    def test_matches_per_n_q_value(self, walk_failures):
+        # q(n*m) = p_g - S(n), with S(n) summed term by term
+        assert not walk_failures("q-recursion", "p_g - S(")
+
     def test_rejects_negative_pg(self):
         with pytest.raises(ValueError):
             q_sequence(new_triple(2, 3, 4), -1)
@@ -103,3 +110,13 @@ class TestHilbertCoefficients:
     def test_rational_double_point(self):
         # (2,3,5) is rational: e2_bar = 0
         assert normal_hilbert_coefficients(new_triple(2, 3, 5)) == (2, 1, 0)
+
+    def test_a2_closed_form(self, walk_failures):
+        assert not walk_failures("hilbert-coefficients", "a=2 coefficients")
+
+    def test_e0_is_multiplicity(self, walk_failures):
+        # the fit raises unless e0_bar = a
+        assert not walk_failures("hilbert-coefficients", "multiplicity e0_bar")
+
+    def test_closed_form_matches_fit(self, walk_failures):
+        assert not walk_failures("hilbert-coefficients")

@@ -198,6 +198,9 @@ class TestFundamentalCycle:
             g = dual_graph(t)
             assert cycle_self_intersection(g, fundamental_cycle(g)) < 0
 
+    def test_closed_form_matches_laufer(self, walk_failures):
+        assert not walk_failures("fundamental-genus", "Laufer's sequence")
+
     @pytest.mark.parametrize(
         "triple, bumps",
         # both once stopped at the old heuristic step cap sum(|w|) * n^2
@@ -259,6 +262,12 @@ class TestFundamentalGenus:
         with pytest.raises(FormulaInapplicableError):
             fundamental_genus_formula(t)
         assert fundamental_genus(t) == fundamental_genus_oracle(dual_graph(t))
+
+    def test_formula_matches_oracle(self, walk_failures):
+        assert not walk_failures("fundamental-genus", "vs adjunction")
+
+    def test_minus_z_squared_formula(self, walk_failures):
+        assert not walk_failures("fundamental-genus", "-Z^2")
 
     def test_star_sums_match_per_vertex_adjunction(self):
         for t in [*triples(25), *sample_to_120()]:
