@@ -14,14 +14,14 @@ chain ceilings ceil(x r_j / alpha) keep the center pairing <= 0, and the
 result is checked anti-nef on one copy of each chain.  The search for x skips
 every x that a chain kind provably rules out (gcd(alpha, beta) = 1 forces
 alpha | x while the kind's m copies give m/alpha > |e| x), so it tests a few
-candidates instead of every x up to the center coefficient.  Laufer's
-computation sequence (start at the all-ones cycle and bump any coefficient
-whose pairing with the cycle is still positive) is its oracle in `verify`, on
-the expanded graph, with a step bound proved from the closed-form cycle.
-Definiteness and the adjunction p_f are summed on the star with each chain
-kind weighted by its copies; the dense Bareiss minor test and per-vertex
-adjunction on the expanded graph are their oracles in the tests.  Nothing
-here caches: a star costs no more to rebuild than to look up.
+candidates instead of every x up to the center coefficient.  Its oracle in
+`verify` is Laufer's computation sequence, run in batches on the star with a
+step bound proved from the closed-form cycle; the per-vertex sequence is the
+batches' oracle in the tests.  Definiteness and the adjunction p_f are summed
+on the star with each chain kind weighted by its copies; the dense Bareiss
+minor test and per-vertex adjunction are their oracles in the tests.  Nothing
+here caches, except that a triple keeps its Seifert data, so dual_graph and
+the p_f and -Z^2 formulas compute it once per triple between them.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .ring import BrieskornTriple
 class SeifertData:
     """Numerical data of the star-shaped resolution graph (one field per symbol)."""
 
-    triple: BrieskornTriple
     alpha: tuple[int, int, int]
     lam: tuple[int, int, int]
     beta: tuple[int, int, int]
@@ -102,7 +101,12 @@ class Cycle:
 
 
 def seifert_data(t: BrieskornTriple) -> SeifertData:
-    """Compute all Seifert invariants of (a, b, c), checking integrality of g and c_0."""
+    """Compute all Seifert invariants of (a, b, c), checking integrality of g and c_0.
+
+    Once per triple object: t keeps the record in its __dict__, where a cached
+    property would, and the record holds no reference back to t."""
+    if "seifert_data" in t.__dict__:
+        return t.__dict__["seifert_data"]
     exps = (t.a, t.b, t.c)
     lcms = (lcm(t.b, t.c), lcm(t.a, t.c), lcm(t.a, t.b))
     alpha = tuple(a_w // gcd(a_w, l_w) for a_w, l_w in zip(exps, lcms))
@@ -126,8 +130,7 @@ def seifert_data(t: BrieskornTriple) -> SeifertData:
             f"{t}: central weight c_0 = {numerator}/{ell} is not a positive integer"
         )
 
-    return SeifertData(
-        triple=t,
+    sd = t.__dict__["seifert_data"] = SeifertData(
         alpha=alpha,
         lam=lam,
         beta=beta,
@@ -136,6 +139,7 @@ def seifert_data(t: BrieskornTriple) -> SeifertData:
         genus=genus,
         center_weight=numerator // ell,
     )
+    return sd
 
 
 def build_dual_graph(sd: SeifertData) -> DualGraph:
@@ -240,87 +244,95 @@ def fundamental_cycle(g: DualGraph) -> Cycle:
         center_pairing += m * z[1]
     if not anti_nef or center_pairing > 0:
         raise InternalCheckError("closed-form fundamental cycle is not positive and anti-nef")
-    z = (x,)
+    return _expanded(g, x, [parts[chain] for _, chain, _ in g.branches])
+
+
+def _one_copy(g: DualGraph, z: Cycle) -> list[tuple[int, ...]]:
+    """z's coefficients on the first copy of each branch's chain, in branch order."""
+    parts, i = [], 1
     for _, chain, copies in g.branches:
-        z += parts[chain] * copies
+        parts.append(z.coefficients[i : i + len(chain)])
+        i += copies * len(chain)
+    return parts
+
+
+def _expanded(g: DualGraph, x: int, parts) -> Cycle:
+    """The cycle with center coefficient x and parts[k] on every copy of branch k's chain."""
+    z = (x,)
+    for (_, _, copies), part in zip(g.branches, parts):
+        z += tuple(part) * copies
     return Cycle(z)
 
 
-def laufer_cycle(g: DualGraph) -> Cycle:
-    """Laufer's computation sequence from the all-ones cycle: the oracle for fundamental_cycle.
+def laufer_cycle(g: DualGraph, y: Cycle) -> Cycle:
+    """Laufer's computation sequence from the all-ones cycle, in batches on the star.
 
-    Every cycle Z of the sequence stays below any positive anti-nef cycle Y:
-    a bump at i with z_i = y_i would give Y.E_i >= Z.E_i > 0.  So with Y the
-    closed-form cycle, which is checked anti-nef before it is returned, the
-    sequence stops within sum(Y) - n steps.  Y only bounds the steps: a wrong
-    Y can make this raise, never return a different cycle.
+    The oracle for fundamental_cycle.  A step bumps every copy of a vertex
+    class (the center, or one position of a branch's chain) at once: a run of
+    valid single bumps, as copies are never adjacent and keep equal pairings.
+    Every cycle of the sequence stays below any positive anti-nef cycle Y (a
+    bump at i with z_i = y_i would give Y.E_i >= Z.E_i > 0), so with y the
+    closed-form cycle, checked anti-nef before it is returned, it stops within
+    sum(y - 1) steps over the classes, y read on their first copies.  y only
+    bounds the steps: a wrong y can make this raise, never return another cycle.
     """
-    n = len(g.vertices)
-    z = [1] * n
-    # pairing[i] = Z . E_i, maintained incrementally; the minimal anti-nef
-    # cycle is unique, so the order of bumps does not matter
-    pairing = [g.vertices[i][0] + len(g.neighbors[i]) for i in range(n)]
-    worklist = [i for i in range(n) if pairing[i] > 0]
-    cap = sum(fundamental_cycle(g).coefficients) - n
+    # class 0 is the center, then each branch's chain, center outward; bumping
+    # class i adds d to the pairing of class k for each (k, d) in effects[i]
+    pairing, effects = [g.center[0]], [[(0, g.center[0])]]
+    for _, chain, copies in g.branches:
+        previous = 0
+        for w in chain:
+            d = 1 if previous else copies  # vertices of this class next to one previous
+            effects[previous].append((len(pairing), 1))
+            effects.append([(len(pairing), w), (previous, d)])
+            pairing[previous] += d
+            previous = len(pairing)
+            pairing.append(w + 1)
+    # pairing[i] = Z . E_i on one copy of class i, from Z = 1 on; the minimal
+    # anti-nef cycle is unique, so the order of bumps does not matter
+    z = [1] * len(pairing)
+    worklist = [i for i, p in enumerate(pairing) if p > 0]
+    bound = y.coefficients[0] + sum(map(sum, _one_copy(g, y))) - len(z)
     steps = 0
     while worklist:
         i = worklist.pop()
         if pairing[i] <= 0:
             continue
         z[i] += 1
-        pairing[i] += g.vertices[i][0]
-        if pairing[i] > 0:
-            worklist.append(i)
-        for j in g.neighbors[i]:
-            pairing[j] += 1
-            if pairing[j] > 0:
-                worklist.append(j)
+        for k, d in effects[i]:
+            pairing[k] += d
+            if pairing[k] > 0:
+                worklist.append(k)
         steps += 1
-        if steps > cap:
-            raise InternalCheckError(
-                f"Laufer's sequence passed its bound of {cap} steps"
-            )
-    return Cycle(tuple(z))
+        if steps > bound:
+            raise InternalCheckError(f"Laufer's sequence passed its bound of {bound} steps")
+    rest = iter(z[1:])
+    return _expanded(g, z[0], [[next(rest) for _ in chain] for _, chain, _ in g.branches])
 
 
-def cycle_pairing(g: DualGraph, z: Cycle, i: int) -> int:
-    """Z . E_i."""
-    w, _ = g.vertices[i]
-    return z.coefficients[i] * w + sum(z.coefficients[j] for j in g.neighbors[i])
-
-
-def cycle_self_intersection(g: DualGraph, z: Cycle) -> int:
-    return sum(z.coefficients[i] * cycle_pairing(g, z, i) for i in range(len(g.vertices)))
-
-
-def canonical_degree(g: DualGraph, i: int) -> int:
-    """K . E_i by adjunction: -E_i^2 + 2*genus(E_i) - 2."""
-    w, gen = g.vertices[i]
-    return -w + 2 * gen - 2
-
-
-def fundamental_genus_oracle(g: DualGraph) -> int:
-    """p_a(Z_E) = 1 + (Z^2 + Z.K)/2 from the intersection form, summed on the star.
+def arithmetic_genus(g: DualGraph, z: Cycle) -> tuple[int, int]:
+    """(p_a(Z), Z^2), with p_a(Z) = 1 + (Z^2 + Z.K)/2 from the intersection form.
 
     Z^2 = sum z_i^2 w_i + 2 sum over edges z_i z_j and Z.K = sum z_i K.E_i,
-    summed over one copy of each branch's chain times its copies: Z_min is
-    unique, so the symmetry permuting the copies fixes it.
+    summed over one copy of each branch's chain times its copies, as Z_min
+    allows: it is unique, so the symmetry permuting the copies fixes it.
     """
-    z = fundamental_cycle(g).coefficients
-    (w0, genus), x = g.center, z[0]
+    (w0, genus), x = g.center, z.coefficients[0]
     zz = w0 * x * x
     zk = (-w0 + 2 * genus - 2) * x
-    i = 1
-    for _, chain, copies in g.branches:
-        zc = z[i : i + len(chain)]
-        i += copies * len(chain)
+    for (_, chain, copies), zc in zip(g.branches, _one_copy(g, z)):
         zz += copies * (
             sum(w * c * c for w, c in zip(chain, zc)) + 2 * sum(map(mul, (x, *zc), zc))
         )
         zk += copies * sum((-w - 2) * c for w, c in zip(chain, zc))
     if (zz + zk) % 2 != 0:
         raise InternalCheckError("Z^2 + Z.K is odd; adjunction violated")
-    return 1 + (zz + zk) // 2
+    return 1 + (zz + zk) // 2, zz
+
+
+def fundamental_genus_oracle(g: DualGraph) -> int:
+    """p_f = p_a(Z_min), by adjunction on the closed-form fundamental cycle."""
+    return arithmetic_genus(g, fundamental_cycle(g))[0]
 
 
 def fundamental_genus_formula(t: BrieskornTriple) -> int:

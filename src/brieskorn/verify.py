@@ -8,9 +8,11 @@ membership pair check builds the staircases closure(m^n) and runs the socle
 lemma, and its triple check compares their thresholds with the a-th-power
 expansion, the one side that reads c.  Each triple gets one p_g and one
 invariants record built from it, each built on first use and read by every
-suite that needs it.  Each graph suite builds the triple's star record
-itself, in O(sum of chain lengths), and only the fundamental-genus suite's
-per-vertex oracles expand it.  run_all walks once with all nine suites; each
+suite that needs it.  Each graph suite builds the triple's star record, in
+O(sum of chain lengths), from the Seifert data the triple keeps; no suite
+expands the star.  The fundamental-genus suite hands its one Z to Laufer's
+sequence, run in batches on the star, as its step bound, and to the
+adjunction p_f and Z^2.  run_all walks once with all nine suites; each
 suite_* walks with its own alone.
 
 An InternalCheckError is recorded as a failure of its pair or triple, so the
@@ -149,30 +151,30 @@ def _hilbert(p: ring.BrieskornPair, result: SuiteResult) -> None:
 
 
 def _fundamental_genus(t: ring.BrieskornTriple, result: SuiteResult, shared, _) -> None:
-    """Closed-form Z vs Laufer's computation sequence; where the p_f formula applies,
-    two more checks: closed-form p_f vs adjunction on Z, and the -Z^2 formula."""
+    """Closed-form Z vs Laufer's computation sequence, which Z bounds; where the p_f
+    formula applies, two more checks on that Z: closed-form p_f vs adjunction, and the
+    -Z^2 formula."""
     result.checks += 1
     graph = resolution.dual_graph(t)
     z = resolution.fundamental_cycle(graph)
-    laufer = resolution.laufer_cycle(graph)
-    for i, (x, y) in enumerate(zip(z.coefficients, laufer.coefficients)):
-        if x != y:
-            result.failures.append(
-                f"{t}: closed-form Z has {x} at vertex {i}, Laufer's sequence {y}"
-            )
-            break
+    laufer = resolution.laufer_cycle(graph, z)
+    if laufer != z:
+        i = next(i for i, x in enumerate(z.coefficients) if x != laufer.coefficients[i])
+        result.failures.append(
+            f"{t}: closed-form Z has {z.coefficients[i]} at vertex {i}, "
+            f"Laufer's sequence {laufer.coefficients[i]}"
+        )
     try:
         by_formula = resolution.fundamental_genus_formula(t)
     except FormulaInapplicableError:
         return
     result.checks += 1
-    by_adjunction = resolution.fundamental_genus_oracle(graph)
+    by_adjunction, z2 = resolution.arithmetic_genus(graph, z)
     if by_formula != by_adjunction:
         result.failures.append(f"{t}: formula {by_formula} vs adjunction {by_adjunction}")
     result.checks += 1
-    minus_z2 = -resolution.cycle_self_intersection(graph, z)
-    if minus_z2 != resolution.expected_minus_z_squared(t):
-        result.failures.append(f"{t}: -Z^2 = {minus_z2}")
+    if -z2 != resolution.expected_minus_z_squared(t):
+        result.failures.append(f"{t}: -Z^2 = {-z2}")
 
 
 def _negative_definite(t: ring.BrieskornTriple, result: SuiteResult, shared, _) -> None:

@@ -10,6 +10,7 @@ below.  Criterion 2 checks every p_g table of tests/test_genus.py.
 from math import comb
 
 from test_genus import PG_TABLES, pg_table_failures
+from test_resolution import cycle_self_intersection
 from triples import triples
 
 from brieskorn.classify import (
@@ -21,7 +22,6 @@ from brieskorn.classify import (
 from brieskorn.filtration import normal_reduction_number
 from brieskorn.genus import geometric_genus
 from brieskorn.resolution import (
-    cycle_self_intersection,
     dual_graph,
     fundamental_cycle,
     fundamental_genus,

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -6,10 +8,8 @@ from triples import triples
 
 from brieskorn.errors import FormulaInapplicableError, InternalCheckError
 from brieskorn.resolution import (
+    Cycle,
     DualGraph,
-    canonical_degree,
-    cycle_pairing,
-    cycle_self_intersection,
     dual_graph,
     fundamental_cycle,
     fundamental_genus,
@@ -80,6 +80,50 @@ def is_negative_definite(matrix: list[list[int]]) -> bool:
     )
 
 
+def cycle_pairing(g: DualGraph, z: Cycle, i: int) -> int:
+    """Z . E_i on the expanded graph."""
+    w, _ = g.vertices[i]
+    return z.coefficients[i] * w + sum(z.coefficients[j] for j in g.neighbors[i])
+
+
+def cycle_self_intersection(g: DualGraph, z: Cycle) -> int:
+    return sum(z.coefficients[i] * cycle_pairing(g, z, i) for i in range(len(g.vertices)))
+
+
+def canonical_degree(g: DualGraph, i: int) -> int:
+    """K . E_i by adjunction: -E_i^2 + 2*genus(E_i) - 2."""
+    w, gen = g.vertices[i]
+    return -w + 2 * gen - 2
+
+
+def laufer_per_vertex(g: DualGraph, y: Cycle) -> Cycle:
+    """Laufer's computation sequence one vertex at a time on the expanded graph: the
+    oracle of the batched resolution.laufer_cycle.  As there, every cycle of the
+    sequence stays below the positive anti-nef y, so it stops within sum(y) - n steps."""
+    n = len(g.vertices)
+    z = [1] * n
+    pairing = [g.vertices[i][0] + len(g.neighbors[i]) for i in range(n)]
+    worklist = [i for i in range(n) if pairing[i] > 0]
+    cap = sum(y.coefficients) - n
+    steps = 0
+    while worklist:
+        i = worklist.pop()
+        if pairing[i] <= 0:
+            continue
+        z[i] += 1
+        pairing[i] += g.vertices[i][0]
+        if pairing[i] > 0:
+            worklist.append(i)
+        for j in g.neighbors[i]:
+            pairing[j] += 1
+            if pairing[j] > 0:
+                worklist.append(j)
+        steps += 1
+        if steps > cap:
+            raise InternalCheckError(f"Laufer's sequence passed its bound of {cap} steps")
+    return Cycle(tuple(z))
+
+
 def adjunction_per_vertex(g: DualGraph) -> int:
     """p_a(Z) = 1 + (Z^2 + Z.K)/2 vertex by vertex on the expanded graph: the
     oracle of the star sums in resolution.fundamental_genus_oracle."""
@@ -107,6 +151,10 @@ NEGATIVE_DEFINITE = [
 ]
 
 
+# the step-cap and center-coefficient regressions of TestFundamentalCycle
+REGRESSIONS = [(35, 47, 52), (97, 101, 103), (107, 116, 119), (91, 94, 115)]
+
+
 class TestSeifertData:
     def test_347(self):
         sd = seifert_data(new_triple(3, 4, 7))
@@ -128,6 +176,20 @@ class TestSeifertData:
         # (2, 4, 8): pairwise gcds (4, 2, 2), ghat_total = 8, 2g - 2 = 0
         sd = seifert_data(new_triple(2, 4, 8))
         assert sd.genus == 1
+
+    def test_a_triple_keeps_its_record_without_a_reference_cycle(self):
+        # t keeps its Seifert data, which must not point back at t: with the
+        # collector off, only reference counting can free the triple
+        gc.disable()
+        try:
+            t = new_triple(3, 4, 7)
+            fundamental_genus_formula(t)
+            assert vars(t)["seifert_data"] is seifert_data(t)
+            freed = weakref.ref(t)
+            del t
+            assert freed() is None
+        finally:
+            gc.enable()
 
     def test_integrality_holds_on_range(self):
         for t in triples(15):
@@ -209,7 +271,7 @@ class TestFundamentalCycle:
     def test_past_the_old_step_cap(self, triple, bumps):
         g = dual_graph(new_triple(*triple))
         z = fundamental_cycle(g)
-        assert z == laufer_cycle(g)
+        assert z == laufer_cycle(g, z)
         assert sum(z.coefficients) - len(g.vertices) == bumps
 
     @pytest.mark.parametrize(
@@ -221,13 +283,28 @@ class TestFundamentalCycle:
     def test_large_center_coefficient(self, triple, center, total):
         g = dual_graph(new_triple(*triple))
         z = fundamental_cycle(g)
-        assert z == laufer_cycle(g)
+        assert z == laufer_cycle(g, z)
         assert (z.coefficients[0], sum(z.coefficients)) == (center, total)
 
     def test_closed_form_matches_laufer_on_a_sample_to_120(self):
         for t in sample_to_120():
             g = dual_graph(t)
-            assert fundamental_cycle(g) == laufer_cycle(g), t
+            z = fundamental_cycle(g)
+            assert z == laufer_cycle(g, z), t
+
+    def test_batches_match_the_per_vertex_sequence(self):
+        regressions = [new_triple(*t) for t in REGRESSIONS]
+        graphs = [dual_graph(t) for t in [*triples(25), *sample_to_120(), *regressions]]
+        for g in graphs + NEGATIVE_DEFINITE:
+            z = fundamental_cycle(g)
+            assert laufer_cycle(g, z) == laufer_per_vertex(g, z), g
+
+    def test_a_bound_below_z_min_raises(self):
+        g = dual_graph(new_triple(3, 4, 7))
+        short = Cycle((1,) * len(g.vertices))
+        for laufer in (laufer_cycle, laufer_per_vertex):
+            with pytest.raises(InternalCheckError, match="passed its bound of 0 steps"):
+                laufer(g, short)
 
     def test_not_negative_definite_star_raises(self):
         for g in NOT_NEGATIVE_DEFINITE:
@@ -236,13 +313,16 @@ class TestFundamentalCycle:
 
     def test_multi_copy_stars_match_laufer(self):
         for g in NEGATIVE_DEFINITE:
-            assert fundamental_cycle(g) == laufer_cycle(g), g
+            z = fundamental_cycle(g)
+            assert z == laufer_cycle(g, z), g
 
     def test_theta_b_squared_star_without_its_expansion(self):
         # b = c: ghat_1 = 840 copies of an 838-vertex chain, V = 703,921
         t = new_triple(839, 840, 840)
         g = dual_graph(t)
-        z = fundamental_cycle(g).coefficients
+        z = fundamental_cycle(g)
+        assert laufer_cycle(g, z) == z
+        z = z.coefficients
         assert (len(z), z[0], sum(z)) == (703921, 839, 295295279)
         assert fundamental_genus_oracle(g) == fundamental_genus_formula(t) == 350703
         assert is_negative_definite_tree(g)

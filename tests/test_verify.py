@@ -1,6 +1,6 @@
 """The oracles that run only in verify still catch a wrong hot-path value."""
 
-from collections import Counter
+from collections import Counter, defaultdict
 
 from brieskorn import classify, filtration, genus, resolution, ring
 from brieskorn.errors import InternalCheckError
@@ -179,13 +179,35 @@ def test_one_walk_computes_each_triple_once(monkeypatch):
             return exact(t, *args)
 
         monkeypatch.setattr(module, name, counted)
+    records = defaultdict(list)  # every Seifert record handed out, kept alive so ids differ
+    exact_seifert = resolution.seifert_data
+
+    def recorded(t):
+        records[t.a, t.b, t.c].append(exact_seifert(t))
+        return records[t.a, t.b, t.c][-1]
+
+    monkeypatch.setattr(resolution, "seifert_data", recorded)
+    for name in ("vertices", "neighbors"):
+        expand = getattr(resolution.DualGraph, name).func
+        read = property(lambda g, name=name, expand=expand: calls.update([name]) or expand(g))
+        monkeypatch.setattr(resolution.DualGraph, name, read)
     run_all(8)
     walked = [(a, b, c) for a in range(2, 9) for b in range(a, 9) for c in range(b, 9)]
     # q_sequence for the record; geometric_genus for the shared p_g the record is
-    # built from, and once more inside the q(m) oracle
+    # built from, and once more inside the q(m) oracle; one Seifert record, which
+    # the triple keeps for every reader; and the walk never expands a star
     assert {t: calls["q_sequence", t] for t in walked} == dict.fromkeys(walked, 1)
     assert {t: calls["geometric_genus", t] for t in walked} == dict.fromkeys(walked, 2)
+    assert {t: len(set(map(id, records[t]))) for t in walked} == dict.fromkeys(walked, 1)
+    assert not calls["vertices"] and not calls["neighbors"]
     assert sum(calls.values()) == 3 * len(walked)
+
+    cycles = Counter()
+    exact = resolution.fundamental_cycle
+    monkeypatch.setattr(resolution, "fundamental_cycle", lambda g: cycles.update([g]) or exact(g))
+    suite_fundamental_genus(8)
+    # one Z per triple: Laufer's step bound, the adjunction p_f and Z^2 all read it
+    assert cycles == Counter(resolution.dual_graph(ring.BrieskornTriple(*t)) for t in walked)
 
 
 def test_a_record_that_fails_to_build_fails_once_in_each_reader(monkeypatch):
