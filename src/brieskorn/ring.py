@@ -10,8 +10,8 @@ maximal ideal and their Q-multiples.
 The independent membership oracle raises a monomial to the a-th power and
 reads off, for each level k and power n, the least total degree i + j that
 puts x^k y^i z^j in the closure of m^n (power_membership_degree).  Membership
-is a threshold test in i + j on both sides, so verify compares that degree
-with the staircase threshold e_k once per (triple, k, n).
+is a threshold test in i + j on both sides, so verify compares that degree with
+e_k once per (pair, k, n), on (a, b, b), and the expansions once per triple.
 
 BrieskornPair (a, b) carries everything the filtration of m derives without c:
 n_k, nr(m), v_n, the sums S(n) with q(n*m) = p_g - S(n), and the Hilbert

@@ -4,16 +4,15 @@ The walk visits each pair 2 <= a <= b <= bound, then each triple (a, b, c)
 with b <= c <= bound.  Each suite is a pair check, a triple check, or both.
 A pair check compares the c-free data of ring.BrieskornPair with its oracles,
 once per pair, and hands what it returns to the suite's triple checks: the
-membership pair check builds the staircases closure(m^n) and runs the socle
-lemma, and its triple check compares their thresholds with the a-th-power
-expansion, the one side that reads c.  Each triple gets one p_g and one
-invariants record built from it, each built on first use and read by every
-suite that needs it.  Each graph suite builds the triple's star record, in
-O(sum of chain lengths), from the Seifert data the triple keeps; no suite
-expands the star.  The fundamental-genus suite hands its one Z to Laufer's
-sequence, run in batches on the star, as its step bound, and to the
-adjunction p_f and Z^2.  run_all walks once with all nine suites; each
-suite_* walks with its own alone.
+membership pair check runs the socle lemma on the staircases closure(m^n) and
+compares their thresholds with the a-th-power expansion of (a, b, b), and its
+triple check compares each triple's expansion degrees, the one side that reads
+c, with that triple's.  Each triple gets one p_g, one invariants record built
+from it, and one star record built from the Seifert data the triple keeps, each
+on first use, for every suite that reads it; no suite expands the star.  The
+fundamental-genus suite hands its one Z to Laufer's sequence, run in batches
+on the star, as its step bound, and to the adjunction p_f and Z^2.  run_all
+walks once with all nine suites; each suite_* walks with its own alone.
 
 An InternalCheckError is recorded as a failure of its pair or triple, so the
 suite still reports.  Builds are deterministic, so a p_g, record or graph that
@@ -59,12 +58,14 @@ def _recorded(result: SuiteResult, subject, check, *args):
 
 
 def _shared(t: ring.BrieskornTriple, built: dict, name: str):
-    """t's "pg", or its "record" built from that p_g, each built once into built."""
+    """t's "pg", "record" (built from that p_g) or star "graph", built once into built."""
     if name not in built:
         if name == "pg":
             built[name] = genus.geometric_genus(t)
-        else:
+        elif name == "record":
             built[name] = classify.invariants_from_pg(t, _shared(t, built, "pg"))
+        else:
+            built[name] = resolution.dual_graph(t)
     return built[name]
 
 
@@ -76,32 +77,31 @@ def _nr_formula(p: ring.BrieskornPair, result: SuiteResult) -> None:
         result.failures.append(f"{p}: scan {scanned} != formula {p.nr}")
 
 
-def _membership_pair(p: ring.BrieskornPair, result: SuiteResult) -> list[ring.StaircaseIdeal]:
-    """The socle lemma on the staircases closure(m^n), n = 1..nr + 2; returns them."""
-    staircases = [ring.closure_of_m_power(p, n) for n in range(1, p.nr + 3)]
-    for n, ideal in enumerate(staircases, 1):
-        for k in range(p.a):
+def _membership_pair(p: ring.BrieskornPair, result: SuiteResult) -> tuple[int, ...]:
+    """The socle lemma on closure(m^n), n = 1..nr + 2, and its thresholds vs the a-th
+    power expansion of (a, b, b); returns that triple's expansion degrees.  Both
+    membership tests are thresholds in i + j, so this compares them at every i + j."""
+    least = p.triple(p.b)
+    for n in range(1, p.nr + 3):
+        ideal = ring.closure_of_m_power(p, n)
+        for k, e in enumerate(ideal.thresholds):
             # x^k lies in closure(m^n) iff n <= n_k
             if ring.contains(ideal, ring.Monomial(k, 0, 0)) != (n <= p.n_seq[k]):
                 result.failures.append(f"{p}: socle test fails at k={k}, n={n}")
-        result.checks += p.a
-    return staircases
-
-
-def _membership(t: ring.BrieskornTriple, result: SuiteResult, shared, staircases) -> None:
-    """Staircase thresholds vs the a-th-power expansion, which reads c.
-
-    Membership in closure(m^n) at level k is a threshold in i + j in 0..n on both
-    sides, so comparing the two thresholds compares the tests at every i + j.
-    """
-    for n, ideal in enumerate(staircases, 1):
-        for k, e in enumerate(ideal.thresholds):
-            degree = ring.power_membership_degree(t, k, n)
+            degree = ring.power_membership_degree(least, k, n)
             if e != degree:
                 result.failures.append(
-                    f"{t}: e_{k} = {e} != expansion degree {degree} at k={k}, n={n}"
+                    f"{p}: e_{k} = {e} != expansion degree {degree} at k={k}, n={n}"
                 )
-        result.checks += t.a
+        result.checks += 2 * p.a
+    return least.expansion_min_degrees
+
+
+def _membership(t: ring.BrieskornTriple, result: SuiteResult, shared, degrees) -> None:
+    """The expansion degrees, the one side that reads c, vs those of (a, b, b)."""
+    result.checks += 1
+    if t.expansion_min_degrees != degrees:
+        result.failures.append(f"{t}: expansion degrees {t.expansion_min_degrees} != {degrees}")
 
 
 def _q_pair(p: ring.BrieskornPair, result: SuiteResult) -> list[int]:
@@ -155,7 +155,7 @@ def _fundamental_genus(t: ring.BrieskornTriple, result: SuiteResult, shared, _) 
     formula applies, two more checks on that Z: closed-form p_f vs adjunction, and the
     -Z^2 formula."""
     result.checks += 1
-    graph = resolution.dual_graph(t)
+    graph = shared("graph")
     z = resolution.fundamental_cycle(graph)
     laufer = resolution.laufer_cycle(graph, z)
     if laufer != z:
@@ -181,7 +181,7 @@ def _negative_definite(t: ring.BrieskornTriple, result: SuiteResult, shared, _) 
     """Tip-to-center elimination on the star, once per chain kind; Bareiss is its
     oracle in tests/test_resolution.py."""
     result.checks += 1
-    if not resolution.is_negative_definite_tree(resolution.dual_graph(t)):
+    if not resolution.is_negative_definite_tree(shared("graph")):
         result.failures.append(f"{t}: intersection matrix not negative definite")
 
 

@@ -90,11 +90,8 @@ def test_membership_suite_catches_one_wrong_threshold(monkeypatch):
 
     monkeypatch.setattr(ring, "closure_of_m_power", off_once)
     result = suite_membership_oracle(7)
-    # the pair's staircase is wrong, so every triple of the pair sees it
-    assert [failure.split(":")[0] for failure in result.failures] == [
-        str(target.triple(c)) for c in range(4, 8)
-    ]
-    assert all(f"k={k}, n={n}" in failure for failure in result.failures)
+    # the pair's thresholds are compared once, on its least triple
+    assert result.failures == [f"{target}: e_{k} = 3 != expansion degree 2 at k={k}, n={n}"]
 
 
 def test_membership_suite_builds_each_staircase_once_per_pair(monkeypatch):
@@ -124,6 +121,19 @@ def test_membership_suite_catches_a_wrong_expansion_degree(monkeypatch):
     result = suite_membership_oracle(5)
     assert not result.passed
     assert all("expansion degree" in failure for failure in result.failures)
+
+
+def test_membership_suite_catches_a_wrong_expansion_past_the_least_triple(monkeypatch):
+    exact = ring.BrieskornTriple.expansion_min_degrees.func
+    target = ring.BrieskornTriple(3, 5, 9)  # c > b: the pair's thresholds never read it
+
+    def off_once(t):
+        degrees = exact(t)
+        return (degrees[0], degrees[1] + 1, *degrees[2:]) if t == target else degrees
+
+    monkeypatch.setattr(ring.BrieskornTriple, "expansion_min_degrees", property(off_once))
+    result = suite_membership_oracle(10)
+    assert result.failures == [f"{target}: expansion degrees (0, 6, 10) != (0, 5, 10)"]
 
 
 def test_fundamental_genus_suite_catches_a_non_minimal_cycle(monkeypatch):
@@ -187,6 +197,11 @@ def test_one_walk_computes_each_triple_once(monkeypatch):
         return records[t.a, t.b, t.c][-1]
 
     monkeypatch.setattr(resolution, "seifert_data", recorded)
+    stars = Counter()  # star builds, by the id of the Seifert record they read
+    exact_build = resolution.build_dual_graph
+    monkeypatch.setattr(
+        resolution, "build_dual_graph", lambda sd: stars.update([id(sd)]) or exact_build(sd)
+    )
     for name in ("vertices", "neighbors"):
         expand = getattr(resolution.DualGraph, name).func
         read = property(lambda g, name=name, expand=expand: calls.update([name]) or expand(g))
@@ -195,10 +210,14 @@ def test_one_walk_computes_each_triple_once(monkeypatch):
     walked = [(a, b, c) for a in range(2, 9) for b in range(a, 9) for c in range(b, 9)]
     # q_sequence for the record; geometric_genus for the shared p_g the record is
     # built from, and once more inside the q(m) oracle; one Seifert record, which
-    # the triple keeps for every reader; and the walk never expands a star
+    # the triple keeps for every reader; one star, which both graph suites read (no
+    # triple <= 8 takes the record's adjunction p_f path); and the walk never
+    # expands a star
     assert {t: calls["q_sequence", t] for t in walked} == dict.fromkeys(walked, 1)
     assert {t: calls["geometric_genus", t] for t in walked} == dict.fromkeys(walked, 2)
     assert {t: len(set(map(id, records[t]))) for t in walked} == dict.fromkeys(walked, 1)
+    assert {t: stars[id(records[t][0])] for t in walked} == dict.fromkeys(walked, 1)
+    assert sum(stars.values()) == len(walked)
     assert not calls["vertices"] and not calls["neighbors"]
     assert sum(calls.values()) == 3 * len(walked)
 
