@@ -18,7 +18,7 @@ from .filtration import (
     q_sequence,
 )
 from .genus import geometric_genus, pg_bound_holds, q_of_m
-from .numtheory import HJFraction, hj_expand, mod_inverse_negation
+from .numtheory import hj_expand, mod_inverse_negation
 from .resolution import (
     Cycle,
     DualGraph,

@@ -8,29 +8,16 @@ lattice-point count for p_g.  No floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 
-@dataclass(frozen=True)
-class HJFraction:
-    """A coprime pair alpha/beta together with its HJ expansion.
+def hj_expand(alpha: int, beta: int) -> tuple[int, ...]:
+    """Expand alpha/beta as a Hirzebruch-Jung continued fraction (c_1, ..., c_s).
 
     The expansion [[c_1, ..., c_s]] denotes c_1 - 1/(c_2 - 1/(... - 1/c_s))
-    with every c_j >= 2.  The pair (1, 0) has the empty expansion.
-    """
-
-    numerator: int
-    denominator: int
-    expansion: tuple[int, ...]
-
-
-def hj_expand(alpha: int, beta: int) -> HJFraction:
-    """Expand alpha/beta as a Hirzebruch-Jung continued fraction.
-
-    Requires 0 <= beta < alpha with gcd(alpha, beta) = 1 when beta >= 1;
-    (1, 0) is allowed and yields the empty expansion.  Its inverse, hj_evaluate,
-    is in tests/test_numtheory.py.
+    with every c_j >= 2.  Requires 0 <= beta < alpha with gcd(alpha, beta) = 1
+    when beta >= 1; (1, 0) is allowed and yields the empty expansion.  Its
+    inverse, hj_evaluate, is in tests/test_numtheory.py.
     """
     if alpha < 1:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -39,7 +26,7 @@ def hj_expand(alpha: int, beta: int) -> HJFraction:
     if beta == 0:
         if alpha != 1:
             raise ValueError("beta = 0 is only allowed together with alpha = 1")
-        return HJFraction(1, 0, ())
+        return ()
     if gcd(alpha, beta) != 1:
         raise ValueError(f"alpha={alpha} and beta={beta} are not coprime")
 
@@ -50,7 +37,7 @@ def hj_expand(alpha: int, beta: int) -> HJFraction:
         expansion.append(c)
         # partial denominators stay positive: 0 <= c*den - num < den
         num, den = den, c * den - num
-    return HJFraction(alpha, beta, tuple(expansion))
+    return tuple(expansion)
 
 
 def mod_inverse_negation(lam: int, alpha: int) -> int:

@@ -5,7 +5,9 @@ with ghat_1 + ghat_2 + ghat_3 chains of rational curves attached.  For each
 w the chain weights are the HJ expansion of alpha_w / beta_w, repeated in
 ghat_w identical copies; the branch is empty when alpha_w = 1.  DualGraph
 stores one chain and its copies per branch, O(sum of chain lengths); the
-expanded graph, Theta(B^2) vertices when b = c, is built on first read.
+expanded graph, Theta(B^2) vertices when b = c, is built on first read.  A
+Cycle is the same kind of record: the center coefficient and one part per
+branch, which every copy carries; its coefficient tuple is built on first read.
 
 The fundamental cycle is computed in closed form on the star: after an
 O(sum of chain lengths) definiteness check (every chain definite and the
@@ -19,9 +21,10 @@ candidates instead of every x up to the center coefficient.  Its oracle in
 step bound proved from the closed-form cycle; the per-vertex sequence is the
 batches' oracle in the tests.  Definiteness and the adjunction p_f are summed
 on the star with each chain kind weighted by its copies; the dense Bareiss
-minor test and per-vertex adjunction are their oracles in the tests.  Nothing
-here caches, except that a triple keeps its Seifert data, so dual_graph and
-the p_f and -Z^2 formulas compute it once per triple between them.
+minor test and per-vertex adjunction are their oracles in the tests.  Z,
+Laufer's sequence and p_a never expand the star.  Nothing here caches, except
+that a triple keeps its Seifert data, so dual_graph and the p_f and -Z^2
+formulas compute it once per triple between them.
 """
 
 from __future__ import annotations
@@ -95,9 +98,20 @@ class DualGraph:
 
 @dataclass(frozen=True)
 class Cycle:
-    """Integer coefficients on the vertices of a dual graph."""
+    """A cycle on the star: the center coefficient and one (part, copies) per branch.
 
-    coefficients: tuple[int, ...]
+    branches matches DualGraph.branches entry by entry: part lists the
+    coefficients on one copy of that branch's chain, center outward, and every
+    copy carries them.  coefficients expands the cycle on first read, in
+    DualGraph.vertices order.
+    """
+
+    center: int
+    branches: tuple[tuple[tuple[int, ...], int], ...]
+
+    @cached_property
+    def coefficients(self) -> tuple[int, ...]:
+        return (self.center,) + tuple(c for part, copies in self.branches for c in part * copies)
 
 
 def seifert_data(t: BrieskornTriple) -> SeifertData:
@@ -147,7 +161,7 @@ def build_dual_graph(sd: SeifertData) -> DualGraph:
     return DualGraph(
         center=(-sd.center_weight, sd.genus),
         branches=tuple(
-            (w + 1, tuple(-c for c in hj_expand(sd.alpha[w], sd.beta[w]).expansion), sd.ghat[w])
+            (w + 1, tuple(-c for c in hj_expand(sd.alpha[w], sd.beta[w])), sd.ghat[w])
             for w in range(3)
             if sd.alpha[w] != 1  # empty branch
         ),
@@ -210,7 +224,7 @@ def fundamental_cycle(g: DualGraph) -> Cycle:
 
     Copies of a chain get equal coefficients, so positivity and anti-nefness
     are checked on one copy per kind and at the center, where the pairing is
-    -c_0 x + sum m z_1.  The full cycle is those coefficients repeated.
+    -c_0 x + sum m z_1.  The cycle is returned as that star record.
     """
     star = _chain_kinds(g)
     if star is None or star[1] >= 0:
@@ -244,24 +258,7 @@ def fundamental_cycle(g: DualGraph) -> Cycle:
         center_pairing += m * z[1]
     if not anti_nef or center_pairing > 0:
         raise InternalCheckError("closed-form fundamental cycle is not positive and anti-nef")
-    return _expanded(g, x, [parts[chain] for _, chain, _ in g.branches])
-
-
-def _one_copy(g: DualGraph, z: Cycle) -> list[tuple[int, ...]]:
-    """z's coefficients on the first copy of each branch's chain, in branch order."""
-    parts, i = [], 1
-    for _, chain, copies in g.branches:
-        parts.append(z.coefficients[i : i + len(chain)])
-        i += copies * len(chain)
-    return parts
-
-
-def _expanded(g: DualGraph, x: int, parts) -> Cycle:
-    """The cycle with center coefficient x and parts[k] on every copy of branch k's chain."""
-    z = (x,)
-    for (_, _, copies), part in zip(g.branches, parts):
-        z += tuple(part) * copies
-    return Cycle(z)
+    return Cycle(x, tuple((parts[chain], copies) for _, chain, copies in g.branches))
 
 
 def laufer_cycle(g: DualGraph, y: Cycle) -> Cycle:
@@ -273,8 +270,8 @@ def laufer_cycle(g: DualGraph, y: Cycle) -> Cycle:
     Every cycle of the sequence stays below any positive anti-nef cycle Y (a
     bump at i with z_i = y_i would give Y.E_i >= Z.E_i > 0), so with y the
     closed-form cycle, checked anti-nef before it is returned, it stops within
-    sum(y - 1) steps over the classes, y read on their first copies.  y only
-    bounds the steps: a wrong y can make this raise, never return another cycle.
+    sum(y - 1) steps over the classes, y read on its parts.  y only bounds the
+    steps: a wrong y can make this raise, never return another cycle.
     """
     # class 0 is the center, then each branch's chain, center outward; bumping
     # class i adds d to the pairing of class k for each (k, d) in effects[i]
@@ -292,7 +289,7 @@ def laufer_cycle(g: DualGraph, y: Cycle) -> Cycle:
     # anti-nef cycle is unique, so the order of bumps does not matter
     z = [1] * len(pairing)
     worklist = [i for i, p in enumerate(pairing) if p > 0]
-    bound = y.coefficients[0] + sum(map(sum, _one_copy(g, y))) - len(z)
+    bound = y.center + sum(sum(part) for part, _ in y.branches) - len(z)
     steps = 0
     while worklist:
         i = worklist.pop()
@@ -307,20 +304,22 @@ def laufer_cycle(g: DualGraph, y: Cycle) -> Cycle:
         if steps > bound:
             raise InternalCheckError(f"Laufer's sequence passed its bound of {bound} steps")
     rest = iter(z[1:])
-    return _expanded(g, z[0], [[next(rest) for _ in chain] for _, chain, _ in g.branches])
+    return Cycle(
+        z[0], tuple((tuple(next(rest) for _ in chain), copies) for _, chain, copies in g.branches)
+    )
 
 
 def arithmetic_genus(g: DualGraph, z: Cycle) -> tuple[int, int]:
     """(p_a(Z), Z^2), with p_a(Z) = 1 + (Z^2 + Z.K)/2 from the intersection form.
 
     Z^2 = sum z_i^2 w_i + 2 sum over edges z_i z_j and Z.K = sum z_i K.E_i,
-    summed over one copy of each branch's chain times its copies, as Z_min
-    allows: it is unique, so the symmetry permuting the copies fixes it.
+    summed over one copy of each branch's chain times its copies: the star
+    record gives every copy the same coefficients.
     """
-    (w0, genus), x = g.center, z.coefficients[0]
+    (w0, genus), x = g.center, z.center
     zz = w0 * x * x
     zk = (-w0 + 2 * genus - 2) * x
-    for (_, chain, copies), zc in zip(g.branches, _one_copy(g, z)):
+    for (_, chain, copies), (zc, _) in zip(g.branches, z.branches):
         zz += copies * (
             sum(w * c * c for w, c in zip(chain, zc)) + 2 * sum(map(mul, (x, *zc), zc))
         )

@@ -10,7 +10,7 @@ from brieskorn.numtheory import floor_sum, hj_expand, mod_inverse_negation
 def hj_evaluate(expansion) -> Fraction:
     """Exact rational value of a descending continued fraction.
 
-    Inverse of hj_expand: hj_evaluate(hj_expand(a, b).expansion) == a/b.
+    Inverse of hj_expand: hj_evaluate(hj_expand(a, b)) == a/b.
     """
     terms = tuple(expansion)
     if not terms:
@@ -24,10 +24,10 @@ def hj_evaluate(expansion) -> Fraction:
 
 
 def test_expand_known_values():
-    assert hj_expand(3, 2).expansion == (2, 2)
-    assert hj_expand(7, 4).expansion == (2, 4)
-    assert hj_expand(1, 0).expansion == ()
-    assert hj_expand(4, 3).expansion == (2, 2, 2)
+    assert hj_expand(3, 2) == (2, 2)
+    assert hj_expand(7, 4) == (2, 4)
+    assert hj_expand(1, 0) == ()
+    assert hj_expand(4, 3) == (2, 2, 2)
 
 
 def test_expand_rejects_bad_input():
@@ -61,10 +61,10 @@ def test_round_trip_and_entry_bound(alpha, beta):
     beta %= alpha
     if beta == 0 or gcd(alpha, beta) != 1:
         return
-    f = hj_expand(alpha, beta)
-    assert all(c >= 2 for c in f.expansion)
-    assert len(f.expansion) <= alpha - 1
-    assert hj_evaluate(f.expansion) == Fraction(alpha, beta)
+    expansion = hj_expand(alpha, beta)
+    assert all(c >= 2 for c in expansion)
+    assert len(expansion) <= alpha - 1
+    assert hj_evaluate(expansion) == Fraction(alpha, beta)
 
 
 def test_mod_inverse_negation_known_values():
