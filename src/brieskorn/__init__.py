@@ -9,15 +9,8 @@ exact integer/rational arithmetic with independent cross-checks.
 
 from .classify import Invariants, invariants, verify_nr3_certificate
 from .errors import FormulaInapplicableError, InternalCheckError
-from .filtration import (
-    QSequence,
-    colength_drop,
-    normal_hilbert_coefficients,
-    normal_reduction_number,
-    nr_by_staircase_oracle,
-    q_sequence,
-)
-from .genus import geometric_genus, pg_bound_holds, q_of_m
+from .filtration import normal_hilbert_coefficients, nr_by_staircase_oracle, q_sequence
+from .genus import geometric_genus, q_of_m
 from .numtheory import hj_expand, mod_inverse_negation
 from .resolution import (
     Cycle,

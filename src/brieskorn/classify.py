@@ -1,9 +1,14 @@
-"""One record per triple: p_g, the q-sequence and p_f, and the classification they decide.
+"""One record per triple: p_g, q(n*m) and p_f, and the classification they decide.
+
+The record keeps only what reads c.  nr(m) = br(m), v_n and the Hilbert
+coefficients depend on (a, b) alone, so they are read from t.pair
+(ring.BrieskornPair).
 
 Wherever the source result gives both a computable criterion and an explicit
 family list (elliptic singularities, boundary cases p_g = C(nr, 2)), both
 paths are evaluated and any disagreement raises: the lists are executable
-statements, not lookups.
+statements, not lookups.  CERTIFICATE_FAMILIES is the one table of the
+nr(J) >= 3 certificate families, read by verify as well.
 """
 
 from __future__ import annotations
@@ -18,11 +23,11 @@ from .ring import BrieskornTriple
 
 @dataclass(frozen=True)
 class Invariants:
-    """p_g, p_f and the q-sequence of one triple, and what they decide."""
+    """p_g, p_f and q(n*m) of one triple, and what they decide with t.pair.nr."""
 
     pg: int
     pf: int
-    seq: filtration.QSequence  # nr(m) = br(m), q(n*m), v_n, Hilbert coefficients
+    q: tuple[int, ...]  # q(n*m) for n = 0..nr(m)+1
     rational: bool  # p_g = 0
     elliptic: bool  # p_f = 1, agreeing with the elliptic list
     boundary: bool  # p_g = C(nr(m), 2), agreeing with the boundary list
@@ -77,14 +82,14 @@ def invariants(t: BrieskornTriple) -> Invariants:
 
 
 def invariants_from_pg(t: BrieskornTriple, pg: int) -> Invariants:
-    """Compute the q-sequence and p_f once each from p_g; check both classification paths.
+    """Compute q(n*m) and p_f once each from p_g; check both classification paths.
 
     nr(A) = nr(m) exactly when p_g < C(nr+1, 2), which covers every member of
     the boundary list: there p_g = C(nr, 2) and, as checked here, nr(A) = nr.
     """
-    seq = filtration.q_sequence(t, pg)
+    q = filtration.q_sequence(t, pg)
     pf = resolution.fundamental_genus(t)
-    nr = seq.nr
+    nr = t.pair.nr
 
     elliptic = pf == 1
     listed = in_elliptic_list(t)
@@ -101,15 +106,19 @@ def invariants_from_pg(t: BrieskornTriple, pg: int) -> Invariants:
     return Invariants(
         pg=pg,
         pf=pf,
-        seq=seq,
+        q=q,
         rational=pg == 0,
         elliptic=elliptic,
         boundary=boundary,
         rees_normal=nr == t.a - 1,
         pg_ideal_m=t.a == 2 and nr == 1,
         nr_A=("exact" if pg < comb(nr + 1, 2) else "lower_bound", nr),
-        pg_bound_holds=genus.pg_bound_holds(pg, seq),
+        pg_bound_holds=pg >= comb(nr, 2) + q[nr],
     )
+
+
+# the br = 2 families with an nr(J) >= 3 certificate: (a, b) -> least c
+CERTIFICATE_FAMILIES = {(2, 5): 10, (3, 4): 8}
 
 
 def _in_reduction_power(u: int, v: int, n: int) -> bool:
@@ -120,24 +129,20 @@ def _in_reduction_power(u: int, v: int, n: int) -> bool:
 def verify_nr3_certificate(t: BrieskornTriple) -> bool:
     """Check the explicit nr(J) >= 3 certificates for J = closure((y, z^2)).
 
-    Family (2, 5, c >= 10): xz is not in (y, z^2) but (xz)^2 = (y^5 + z^c)z^2
-    lies in (y, z^2)^6.  Family (3, 4, c >= 8): x^2 z is not in (y, z^2) but
-    (x^2 z)^3 = (y^4 + z^c)^2 z^3 lies in (y, z^2)^9.
+    The witness is x^{a-1} z, whose a-th power is (y^b + z^c)^{a-1} z^a up to
+    sign.  Family (2, 5, c >= 10): xz is not in (y, z^2) but (xz)^2 =
+    (y^5 + z^c)z^2 lies in (y, z^2)^6.  Family (3, 4, c >= 8): x^2 z is not in
+    (y, z^2) but (x^2 z)^3 = (y^4 + z^c)^2 z^3 lies in (y, z^2)^9.
     """
     a, b, c = t.a, t.b, t.c
-    if (a, b) == (2, 5) and c >= 10:
-        power, z_extra, target = 1, 2, 6
-    elif (a, b) == (3, 4) and c >= 8:
-        power, z_extra, target = 2, 3, 9
-    else:
+    if c < CERTIFICATE_FAMILIES.get((a, b), c + 1):
         raise ValueError(f"{t}: outside the certificate families")
 
     # the witness monomial (z, resp. z) is outside (y, z^2) itself
     if _in_reduction_power(0, 1, 1):
         raise InternalCheckError("z should not lie in (y, z^2)")
 
-    # every term of (y^b + z^c)^power * z^z_extra lies in (y, z^2)^target
+    # every term of (y^b + z^c)^{a-1} * z^a lies in (y, z^2)^{3a}
     return all(
-        _in_reduction_power(b * s, c * (power - s) + z_extra, target)
-        for s in range(power + 1)
+        _in_reduction_power(b * s, c * (a - 1 - s) + a, 3 * a) for s in range(a)
     )

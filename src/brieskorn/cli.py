@@ -31,20 +31,20 @@ def _dump_json(obj) -> str:
 
 def _invariants_dict(t: BrieskornTriple) -> dict:
     inv = classify.invariants(t)
-    seq = inv.seq
+    p = t.pair
     status, value = inv.nr_A
-    e0, e1, e2 = seq.hilbert
+    e0, e1, e2 = p.hilbert
     return {
         "a": t.a,
         "b": t.b,
         "c": t.c,
         "pg": inv.pg,
         "pf": inv.pf,
-        "nr_m": seq.nr,
-        "br_m": seq.nr,
-        "q_m": seq.q[1],
-        "q_sequence": list(seq.q),
-        "v_sequence": list(seq.v),
+        "nr_m": p.nr,
+        "br_m": p.nr,
+        "q_m": inv.q[1],
+        "q_sequence": list(inv.q),
+        "v_sequence": list(p.v),
         "hilbert": {"e0": e0, "e1": e1, "e2": e2},
         "rational": inv.rational,
         "elliptic": inv.elliptic,

@@ -1,4 +1,4 @@
-"""Normal reduction numbers, the colength-drop sequence v_n, and q(n*m).
+"""The oracles of the filtration of m, and q(n*m).
 
 The sequence q(n*m) is pinned combinatorially: starting from q(0) = p_g, the
 recursion 2*q(n) + v_n = q(n+1) + q(n-1) together with stabilization
@@ -7,7 +7,7 @@ recursion 2*q(n) + v_n = q(n+1) + q(n-1) together with stabilization
     q(n) = p_g - S(n),  S(n) = sum_{k>=1} min(n, k) * v_k.
 
 Only p_g reads c.  nr(m), v_n, S(n) and the normal Hilbert coefficients live
-on the pair t.pair (ring.BrieskornPair), so q_sequence only subtracts and
+on the pair alone (ring.BrieskornPair), so q_sequence only subtracts and
 checks q(n) >= 0.  For n >= n_{a-1} the colength of closure(m^{n+1}) is
 sum_k C(n+2-n_k, 2) = a*C(n+2, 2) - (sum_k n_k)(n+1) + sum_k C(n_k, 2), which
 gives the Hilbert coefficients in O(a).  The oracles here take a triple or its
@@ -18,27 +18,8 @@ finite-difference fit normal_hilbert_coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InternalCheckError
 from .ring import BrieskornPair, BrieskornTriple, closure_of_m_power, colength, multiply_by_Q
-
-
-@dataclass(frozen=True)
-class QSequence:
-    """q(n*m), the drops v_n, and the normal Hilbert coefficients of m."""
-
-    triple: BrieskornTriple
-    pg: int
-    nr: int  # nr(m) = br(m)
-    v: tuple[int, ...]  # v_n for n = 0..nr
-    q: tuple[int, ...]  # q(n*m) for n = 0..nr+1
-    hilbert: tuple[int, int, int]  # (e0_bar, e1_bar, e2_bar)
-
-
-def normal_reduction_number(t: BrieskornTriple | BrieskornPair) -> int:
-    """nr(m) = br(m) = n_{a-1} = floor((a-1)b/a)."""
-    return t.n_seq[t.a - 1]
 
 
 def nr_by_staircase_oracle(t: BrieskornTriple | BrieskornPair) -> int:
@@ -47,7 +28,7 @@ def nr_by_staircase_oracle(t: BrieskornTriple | BrieskornPair) -> int:
     Also scans past the first hit up to n_{a-1} + a and demands that equality
     persists, so the same pass certifies br = nr.
     """
-    scan_to = normal_reduction_number(t) + t.a
+    scan_to = t.n_seq[-1] + t.a
     first: int | None = None
     for n in range(scan_to + 1):
         equal = closure_of_m_power(t, n + 1) == multiply_by_Q(closure_of_m_power(t, n))
@@ -62,37 +43,27 @@ def nr_by_staircase_oracle(t: BrieskornTriple | BrieskornPair) -> int:
     return first
 
 
-def colength_drop(t: BrieskornTriple | BrieskornPair, n: int) -> int:
-    """v_n = length of closure(m^{n+1}) / Q*closure(m^n) = max(a - ceil(a(n+1)/b), 0)."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return max(t.a - (-(-t.a * (n + 1) // t.b)), 0)
-
-
 def colength_drop_oracle(t: BrieskornTriple | BrieskornPair, n: int) -> int:
-    """The same drop computed from raw colengths in the ring module."""
+    """v_n from raw colengths in the ring module: the oracle of BrieskornPair.v."""
     return colength(multiply_by_Q(closure_of_m_power(t, n))) - colength(
         closure_of_m_power(t, n + 1)
     )
 
 
-def drop_sum(t: BrieskornTriple | BrieskornPair, n: int) -> int:
+def drop_sum(p: BrieskornPair, n: int) -> int:
     """S(n) = sum_{k>=1} min(n, k) * v_k term by term: the oracle of BrieskornPair.drop_sums."""
-    br = normal_reduction_number(t)
-    return sum(min(n, k) * colength_drop(t, k) for k in range(1, br + 1))
+    return sum(min(n, k) * p.v[k] for k in range(1, p.nr + 1))
 
 
-def q_sequence(t: BrieskornTriple, pg: int) -> QSequence:
-    """Assemble the q/v data for m from t.pair: q(n*m) = p_g - S(n), checked >= 0."""
+def q_sequence(t: BrieskornTriple, pg: int) -> tuple[int, ...]:
+    """q(n*m) = p_g - S(n) for n = 0..nr+1, with S(n) from t.pair, checked >= 0."""
     if pg < 0:
         raise ValueError(f"pg must be nonnegative, got {pg}")
-    p = t.pair
-    sums = p.drop_sums
+    sums = t.pair.drop_sums
     if pg < sums[-1]:  # v_k >= 0, so S(n) never decreases and q(n) is least at n = nr + 1
         n = next(n for n, s in enumerate(sums) if pg < s)
         raise InternalCheckError(f"{t}: q({n}*m) = {pg - sums[n]} < 0 with pg = {pg}")
-    q = tuple([pg - s for s in sums])
-    return QSequence(triple=t, pg=pg, nr=p.nr, v=p.v, q=q, hilbert=p.hilbert)
+    return tuple([pg - s for s in sums])
 
 
 def normal_hilbert_coefficients(t: BrieskornTriple | BrieskornPair) -> tuple[int, int, int]:
@@ -103,7 +74,7 @@ def normal_hilbert_coefficients(t: BrieskornTriple | BrieskornPair) -> tuple[int
     off by finite differences at three such points and checked on a fourth.
     The oracle of BrieskornPair.hilbert.
     """
-    n0 = normal_reduction_number(t)
+    n0 = t.n_seq[-1]  # nr(m)
     h = [colength(closure_of_m_power(t, n + 1)) for n in range(n0, n0 + 4)]
     e0 = h[2] - 2 * h[1] + h[0]
     e1 = e0 * (n0 + 2) - (h[1] - h[0])

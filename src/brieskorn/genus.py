@@ -1,4 +1,4 @@
-"""Geometric genus by lattice-point counting, q(m), and the p_g bound.
+"""Geometric genus by lattice-point counting, and q(m).
 
 p_g equals the number of nonnegative integer triples (t0, t1, t2) with
 q0*t0 + q1*t1 + q2*t2 <= D - q0 - q1 - q2, where (q0, q1, q2) = (bc, ac, ab)
@@ -8,15 +8,12 @@ divisions to one floor_sum, so the count costs O(a log(abc)).  The direct loop
 over t0 and t1 is kept as geometric_genus_oracle and compared against it in
 verify.suite_pg_bound.  q_of_m is the per-triple formula for q(m), the
 oracle of q_1 in verify.suite_q_recursion; the reports read q_1 from the
-q-sequence.
+record's q(n*m) (classify.Invariants.q).
 """
 
 from __future__ import annotations
 
-from math import comb
-
 from .errors import InternalCheckError
-from .filtration import QSequence
 from .numtheory import floor_sum
 from .ring import BrieskornTriple
 
@@ -65,8 +62,3 @@ def q_of_m(t: BrieskornTriple) -> int:
         raise InternalCheckError(f"{t}: q(m) = {q} outside [0, {pg}]")
     return q
 
-
-def pg_bound_holds(pg: int, seq: QSequence) -> bool:
-    """p_g >= C(nr(m), 2) + q(nr(m) * m), for p_g and its q-sequence."""
-    r = seq.nr
-    return pg >= comb(r, 2) + seq.q[r]

@@ -58,11 +58,11 @@ class DualGraph:
 
     chain lists the self-intersections of one copy of branch w's chain, center
     outward; the branch is copies identical chains, each attached to the center
-    and to nothing else.  vertices, neighbors and branch_index expand the star
-    on first read: vertex i carries (self_intersection, genus), vertex 0 is the
-    center, and branch_index[i] is (w, copy, position) for chain vertices, None
-    for the center.  Vertices are ordered: center, then w ascending, copies in
-    order, chain positions ascending (position 0 attaches to the center).
+    and to nothing else.  vertices and neighbors expand the star on first read:
+    vertex i carries (self_intersection, genus) and vertex 0 is the center.
+    Vertices are ordered: center, then w ascending, copies in order, chain
+    positions ascending (position 0 attaches to the center); to_json_dict and
+    to_dot walk the branches in the same order.
     """
 
     center: tuple[int, int]
@@ -85,15 +85,6 @@ class DualGraph:
                     neighbors[previous].append(len(neighbors) - 1)
                     previous = len(neighbors) - 1
         return tuple(map(tuple, neighbors))
-
-    @cached_property
-    def branch_index(self) -> tuple[tuple[int, int, int] | None, ...]:
-        return (None,) + tuple(
-            (w, copy, position)
-            for w, chain, copies in self.branches
-            for copy in range(copies)
-            for position in range(len(chain))
-        )
 
 
 @dataclass(frozen=True)
@@ -380,36 +371,34 @@ def is_negative_definite_tree(g: DualGraph) -> bool:
 
 
 def to_dot(g: DualGraph) -> str:
-    """Graphviz rendering; byte-stable for identical input."""
+    """Graphviz rendering of to_json_dict's vertices; byte-stable for identical input."""
+    vertices = to_json_dict(g)["vertices"]
     lines = ["graph {"]
-    for i, (weight, genus) in enumerate(g.vertices):
-        info = g.branch_index[i]
-        if info is None:
-            label = f"E0 (g={genus}, {weight})"
+    for i, vertex in enumerate(vertices):
+        if vertex["branch"] is None:
+            label = f"E0 (g={vertex['genus']}, {vertex['weight']})"
         else:
-            w, _, position = info
-            label = f"E{w},{position + 1} ({weight})"
+            w, _, position = vertex["branch"]
+            label = f"E{w},{position + 1} ({vertex['weight']})"
         lines.append(f'  n{i} [label="{label}"];')
-    for i in range(len(g.vertices)):
-        for j in g.neighbors[i]:
-            if i < j:
-                lines.append(f"  n{i} -- n{j};")
+    for i, vertex in enumerate(vertices):
+        lines.extend(f"  n{i} -- n{j};" for j in vertex["neighbors"] if i < j)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def to_json_dict(g: DualGraph) -> dict:
-    """Canonical serialization: vertices in construction order."""
-    return {
-        "vertices": [
-            {
-                "branch": None
-                if g.branch_index[i] is None
-                else list(g.branch_index[i]),
-                "genus": g.vertices[i][1],
-                "neighbors": sorted(g.neighbors[i]),
-                "weight": g.vertices[i][0],
-            }
-            for i in range(len(g.vertices))
-        ]
-    }
+    """Canonical serialization, walked from the star: vertices in DualGraph.vertices order,
+    each chain vertex with its branch [w, copy, position]."""
+    weight, genus = g.center
+    vertices = [{"branch": None, "genus": genus, "neighbors": [], "weight": weight}]
+    for w, chain, copies in g.branches:
+        for copy in range(copies):
+            previous = 0
+            for position, weight in enumerate(chain):
+                vertices[previous]["neighbors"].append(len(vertices))
+                vertices.append(
+                    dict(branch=[w, copy, position], genus=0, neighbors=[previous], weight=weight)
+                )
+                previous = len(vertices) - 1
+    return {"vertices": vertices}

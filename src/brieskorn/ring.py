@@ -13,10 +13,11 @@ puts x^k y^i z^j in the closure of m^n (power_membership_degree).  Membership
 is a threshold test in i + j on both sides, so verify compares that degree with
 e_k once per (pair, k, n), on (a, b, b), and the expansions once per triple.
 
-BrieskornPair (a, b) carries everything the filtration of m derives without c:
-n_k, nr(m), v_n, the sums S(n) with q(n*m) = p_g - S(n), and the Hilbert
-coefficients.  Triples read it as t.pair, so verify checks it once per pair.
-The staircase functions below accept a triple or its pair.
+BrieskornPair (a, b) is the one home of everything the filtration of m derives
+without c: n_k, nr(m) = br(m), v_n, the sums S(n) with q(n*m) = p_g - S(n), and
+the Hilbert coefficients, each in closed form.  Triples read it as t.pair, so
+verify checks it once per pair.  The staircase functions below accept a triple
+or its pair.
 """
 
 from __future__ import annotations
@@ -58,10 +59,9 @@ class BrieskornPair:
 
     @cached_property
     def v(self) -> tuple[int, ...]:
-        """v_n for n = 0..nr, by filtration.colength_drop."""
-        from . import filtration  # filtration imports this module
-
-        return tuple(filtration.colength_drop(self, n) for n in range(self.nr + 1))
+        """v_n = length of closure(m^{n+1}) / Q*closure(m^n) = max(a - ceil(a(n+1)/b), 0),
+        n = 0..nr; filtration.colength_drop_oracle is its oracle."""
+        return tuple(max(self.a + -self.a * (n + 1) // self.b, 0) for n in range(self.nr + 1))
 
     @cached_property
     def drop_sums(self) -> tuple[int, ...]:

@@ -118,22 +118,22 @@ def _q_triple(t: ring.BrieskornTriple, result: SuiteResult, shared, drop_sums) -
     """q_1 vs the q(m) formula, q_n vs p_g - S(n), and the a = 2 closed form."""
     result.checks += 1
     inv = shared("record")
-    seq, pg = inv.seq, inv.pg
+    pg = inv.pg
     q_m = genus.q_of_m(t)
-    if seq.q[1] != q_m:
-        result.failures.append(f"{t}: q_1 = {seq.q[1]} != q(m) formula {q_m}")
-    for n, q in enumerate(seq.q):
+    if inv.q[1] != q_m:
+        result.failures.append(f"{t}: q_1 = {inv.q[1]} != q(m) formula {q_m}")
+    for n, q in enumerate(inv.q):
         result.checks += 1
         expected = pg - drop_sums[n]
         if q != expected:
             result.failures.append(f"{t}: q({n}m) = {q} != p_g - S({n}) = {expected}")
     if t.a == 2:
         r = t.b // 2
-        for i in range(1, seq.nr + 2):
+        for i in range(1, t.pair.nr + 2):
             result.checks += 1
             expected = pg - i * (r - 1) + comb(i, 2) if i <= r - 1 else pg - comb(r, 2)
-            if seq.q[i] != expected:
-                result.failures.append(f"{t}: q({i}m) = {seq.q[i]} != {expected}")
+            if inv.q[i] != expected:
+                result.failures.append(f"{t}: q({i}m) = {inv.q[i]} != {expected}")
 
 
 def _hilbert(p: ring.BrieskornPair, result: SuiteResult) -> None:
@@ -190,13 +190,13 @@ def _classification(t: ring.BrieskornTriple, result: SuiteResult, shared, _) -> 
     paths disagrees); elliptic implies nr <= 2."""
     result.checks += 1
     inv = shared("record")
-    if inv.elliptic and inv.seq.nr > 2:
+    if inv.elliptic and t.pair.nr > 2:
         result.failures.append(f"{t}: elliptic but nr(m) > 2")
 
 
 def _certificates(t: ring.BrieskornTriple, result: SuiteResult, shared, _) -> None:
-    """nr(J) >= 3 certificates on the br = 2 families (2, 5, c >= 10) and (3, 4, c >= 8)."""
-    if t.c < {(2, 5): 10, (3, 4): 8}.get((t.a, t.b), t.c + 1):
+    """nr(J) >= 3 certificates on the br = 2 families of classify.CERTIFICATE_FAMILIES."""
+    if t.c < classify.CERTIFICATE_FAMILIES.get((t.a, t.b), t.c + 1):
         return
     result.checks += 1
     if not classify.verify_nr3_certificate(t):

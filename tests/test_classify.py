@@ -1,10 +1,17 @@
+from dataclasses import fields
+
 import pytest
 from triples import triples
 
-from brieskorn.classify import boundary_family_nr, invariants, verify_nr3_certificate
-from brieskorn.filtration import normal_reduction_number
+from brieskorn.classify import Invariants, boundary_family_nr, invariants, verify_nr3_certificate
 from brieskorn.genus import geometric_genus
 from brieskorn.ring import new_triple
+
+
+def test_record_keeps_only_what_reads_c():
+    # nr(m), v_n and the Hilbert coefficients live on t.pair alone
+    names = {f.name for f in fields(Invariants)}
+    assert "q" in names and not {"seq", "nr", "v", "hilbert"} & names
 
 
 class TestRational:
@@ -15,7 +22,7 @@ class TestRational:
 
     def test_rational_iff_nr_one(self):
         for t in triples(25):
-            rational = normal_reduction_number(t) == 1 and geometric_genus(t) == 0
+            rational = t.pair.nr == 1 and geometric_genus(t) == 0
             assert invariants(t).rational == rational
 
 
@@ -36,7 +43,7 @@ class TestElliptic:
     def test_elliptic_implies_small_nr(self):
         for t in triples(30):
             if invariants(t).elliptic:
-                assert normal_reduction_number(t) <= 2
+                assert t.pair.nr <= 2
 
 
 class TestBoundary:
@@ -92,12 +99,12 @@ class TestInferNrA:
     def test_large_pg_gives_lower_bound(self):
         status, value = invariants(new_triple(2, 5, 10)).nr_A
         assert status == "lower_bound"
-        assert value == normal_reduction_number(new_triple(2, 5, 10))
+        assert value == new_triple(2, 5, 10).pair.nr
 
     def test_exact_values_never_below_nr_m(self):
         for t in triples(20):
             status, value = invariants(t).nr_A
-            assert value >= normal_reduction_number(t)
+            assert value >= t.pair.nr
             assert status in ("exact", "lower_bound")
 
 

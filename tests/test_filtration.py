@@ -2,89 +2,69 @@ import pytest
 from triples import triples
 
 from brieskorn.errors import InternalCheckError
-from brieskorn.filtration import (
-    colength_drop,
-    colength_drop_oracle,
-    normal_hilbert_coefficients,
-    normal_reduction_number,
-    q_sequence,
-)
+from brieskorn.filtration import colength_drop_oracle, normal_hilbert_coefficients, q_sequence
 from brieskorn.genus import geometric_genus
 from brieskorn.ring import new_triple
 
 
 class TestNormalReductionNumber:
     def test_known_values(self):
-        assert normal_reduction_number(new_triple(2, 3, 7)) == 1
-        assert normal_reduction_number(new_triple(2, 4, 5)) == 2
-        assert normal_reduction_number(new_triple(3, 4, 7)) == 2
-        assert normal_reduction_number(new_triple(2, 6, 10)) == 3
-        assert normal_reduction_number(new_triple(3, 5, 8)) == 3
+        assert new_triple(2, 3, 7).pair.nr == 1
+        assert new_triple(2, 4, 5).pair.nr == 2
+        assert new_triple(3, 4, 7).pair.nr == 2
+        assert new_triple(2, 6, 10).pair.nr == 3
+        assert new_triple(3, 5, 8).pair.nr == 3
 
     def test_formula_is_floor(self):
         for t in triples(20):
-            assert normal_reduction_number(t) == (t.a - 1) * t.b // t.a
+            assert t.pair.nr == (t.a - 1) * t.b // t.a
 
     def test_oracle_agrees(self, walk_failures):
         assert not walk_failures("nr-formula-vs-staircase")
 
     def test_independent_of_c(self):
         for b in range(2, 12):
-            values = {normal_reduction_number(new_triple(2, b, c)) for c in range(b, 30)}
+            values = {new_triple(2, b, c).pair.nr for c in range(b, 30)}
             assert len(values) == 1
 
 
 class TestColengthDrop:
     def test_known_values(self):
-        t = new_triple(2, 4, 5)
-        assert [colength_drop(t, n) for n in range(4)] == [1, 1, 0, 0]
-        t = new_triple(3, 4, 7)
-        assert [colength_drop(t, n) for n in range(4)] == [2, 1, 0, 0]
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            colength_drop(new_triple(2, 3, 4), -1)
+        assert new_triple(2, 4, 5).pair.v == (1, 1, 0)
+        assert new_triple(3, 4, 7).pair.v == (2, 1, 0)
 
     def test_vanishes_from_br(self):
         for t in triples(15):
-            br = normal_reduction_number(t)
-            assert colength_drop(t, br) == 0
-            assert colength_drop(t, br + 1) == 0
-            if br >= 1:
-                assert colength_drop(t, br - 1) >= 1
+            nr, v = t.pair.nr, t.pair.v
+            assert v[nr] == 0 and colength_drop_oracle(t, nr + 1) == 0
+            if nr >= 1:
+                assert v[nr - 1] >= 1
 
     def test_agrees_with_colength_oracle(self):
         for t in triples(10):
-            for n in range(normal_reduction_number(t) + 2):
-                assert colength_drop(t, n) == colength_drop_oracle(t, n)
+            assert t.pair.v == tuple(colength_drop_oracle(t, n) for n in range(t.pair.nr + 1))
 
     def test_v0_is_a_minus_one(self):
         for t in triples(15):
-            assert colength_drop(t, 0) == t.a - 1
+            assert t.pair.v[0] == t.a - 1
 
 
 class TestQSequence:
     def test_245(self):
         t = new_triple(2, 4, 5)
-        seq = q_sequence(t, geometric_genus(t))
-        assert seq.pg == 1
-        assert seq.v == (1, 1, 0)
-        assert seq.q == (1, 0, 0, 0)
-        assert seq.nr == 2
+        assert q_sequence(t, geometric_genus(t)) == (1, 0, 0, 0)
 
     def test_347(self):
         t = new_triple(3, 4, 7)
-        seq = q_sequence(t, geometric_genus(t))
-        assert seq.pg == 3
-        assert seq.v == (2, 1, 0)
-        assert seq.q == (3, 2, 2, 2)
+        assert q_sequence(t, geometric_genus(t)) == (3, 2, 2, 2)
 
     def test_q_starts_at_pg_and_stabilizes(self):
         for t in triples(12):
-            seq = q_sequence(t, geometric_genus(t))
-            assert seq.q[0] == seq.pg
-            assert seq.q[seq.nr] == seq.q[seq.nr + 1]
-            assert all(seq.q[n] >= seq.q[n + 1] for n in range(seq.nr + 1))
+            pg, nr = geometric_genus(t), t.pair.nr
+            q = q_sequence(t, pg)
+            assert q[0] == pg and len(q) == nr + 2
+            assert q[nr] == q[nr + 1]
+            assert all(q[n] >= q[n + 1] for n in range(nr + 1))
 
     def test_matches_per_n_q_value(self, walk_failures):
         # q(n*m) = p_g - S(n), with S(n) summed term by term

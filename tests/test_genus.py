@@ -3,7 +3,6 @@ from math import comb
 
 from triples import triples
 
-from brieskorn.filtration import normal_reduction_number
 from brieskorn.genus import geometric_genus, q_of_m
 from brieskorn.ring import BrieskornTriple, new_triple
 
@@ -115,4 +114,4 @@ class TestPgLowerBound:
 
     def test_weak_form(self):
         for t in triples(14):
-            assert geometric_genus(t) >= comb(normal_reduction_number(t), 2)
+            assert geometric_genus(t) >= comb(t.pair.nr, 2)

@@ -330,7 +330,7 @@ class TestFundamentalCycle:
         assert (len(coefficients), coefficients[0], sum(coefficients)) == (703921, 839, 295295279)
         assert fundamental_genus_oracle(g) == 350703
         assert is_negative_definite_tree(g)
-        assert not {"vertices", "neighbors", "branch_index"} & vars(g).keys()
+        assert not {"vertices", "neighbors"} & vars(g).keys()
 
 
 class TestFundamentalGenus:

@@ -4,8 +4,6 @@ from itertools import product
 import pytest
 from triples import triples
 
-from brieskorn.filtration import q_sequence
-from brieskorn.genus import geometric_genus
 from brieskorn.ring import (
     BrieskornPair,
     Monomial,
@@ -63,8 +61,7 @@ class TestPair:
         assert data == ((0, 1, 3, 4), 4, (3, 2, 2, 1, 0), (4, 8, 9))
         for c in (6, 9, 40):
             t = new_triple(4, 6, c)
-            seq = q_sequence(t, geometric_genus(t))
-            assert (t.n_seq, seq.nr, seq.v, seq.hilbert) == data
+            assert (t.n_seq, t.pair.nr, t.pair.v, t.pair.hilbert) == data
             assert pair.triple(c).pair is pair
 
     def test_validation(self):

@@ -16,13 +16,14 @@ from brieskorn.verify import (
 
 
 def test_q_recursion_suite_catches_a_wrong_colength_drop(monkeypatch):
-    exact = filtration.colength_drop
+    exact = ring.BrieskornPair.v.func
 
-    def off_at_zero(t, n):
+    def off_at_zero(p):
         # v_0 never enters q(n), so only the colength oracle can see this
-        return exact(t, n) + (n == 0)
+        v0, *rest = exact(p)
+        return (v0 + 1, *rest)
 
-    monkeypatch.setattr(filtration, "colength_drop", off_at_zero)
+    monkeypatch.setattr(ring.BrieskornPair, "v", property(off_at_zero))
     result = suite_q_recursion(5)
     assert not result.passed
     assert all("v_0" in failure and "colength drop" in failure for failure in result.failures)
