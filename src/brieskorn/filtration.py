@@ -13,13 +13,15 @@ sum_k C(n+2-n_k, 2) = a*C(n+2, 2) - (sum_k n_k)(n+1) + sum_k C(n_k, 2), which
 gives the Hilbert coefficients in O(a).  The oracles here take a triple or its
 pair; verify runs them once per pair: the staircase scan for nr(m), the
 colength oracle for v_n, S(n) term by term (drop_sum), and the
-finite-difference fit normal_hilbert_coefficients.
+finite-difference fit normal_hilbert_coefficients.  The staircase oracles index
+the pair's one ladder of closure(m^n) (ring.BrieskornPair.staircases), so the
+staircases are built once per pair, not once per oracle.
 """
 
 from __future__ import annotations
 
 from .errors import InternalCheckError
-from .ring import BrieskornPair, BrieskornTriple, closure_of_m_power, colength, multiply_by_Q
+from .ring import BrieskornPair, BrieskornTriple, colength, multiply_by_Q
 
 
 def nr_by_staircase_oracle(t: BrieskornTriple | BrieskornPair) -> int:
@@ -28,10 +30,10 @@ def nr_by_staircase_oracle(t: BrieskornTriple | BrieskornPair) -> int:
     Also scans past the first hit up to n_{a-1} + a and demands that equality
     persists, so the same pass certifies br = nr.
     """
-    scan_to = t.n_seq[-1] + t.a
+    ladder, scan_to = t.staircases, t.n_seq[-1] + t.a
     first: int | None = None
     for n in range(scan_to + 1):
-        equal = closure_of_m_power(t, n + 1) == multiply_by_Q(closure_of_m_power(t, n))
+        equal = ladder[n + 1] == multiply_by_Q(ladder[n])
         if equal and first is None:
             first = n
         elif not equal and first is not None:
@@ -44,10 +46,12 @@ def nr_by_staircase_oracle(t: BrieskornTriple | BrieskornPair) -> int:
 
 
 def colength_drop_oracle(t: BrieskornTriple | BrieskornPair, n: int) -> int:
-    """v_n from raw colengths in the ring module: the oracle of BrieskornPair.v."""
-    return colength(multiply_by_Q(closure_of_m_power(t, n))) - colength(
-        closure_of_m_power(t, n + 1)
-    )
+    """v_n from raw colengths in the ring module: the oracle of BrieskornPair.v.
+    n runs over the ladder, 0..nr + max(a, 3)."""
+    ladder = t.staircases
+    if not 0 <= n < len(ladder) - 1:
+        raise ValueError(f"n = {n} outside 0..{len(ladder) - 2}")
+    return colength(multiply_by_Q(ladder[n])) - colength(ladder[n + 1])
 
 
 def drop_sum(p: BrieskornPair, n: int) -> int:
@@ -75,7 +79,7 @@ def normal_hilbert_coefficients(t: BrieskornTriple | BrieskornPair) -> tuple[int
     The oracle of BrieskornPair.hilbert.
     """
     n0 = t.n_seq[-1]  # nr(m)
-    h = [colength(closure_of_m_power(t, n + 1)) for n in range(n0, n0 + 4)]
+    h = [colength(ideal) for ideal in t.staircases[n0 + 1 : n0 + 5]]
     e0 = h[2] - 2 * h[1] + h[0]
     e1 = e0 * (n0 + 2) - (h[1] - h[0])
     e2 = h[0] - e0 * (n0 + 2) * (n0 + 1) // 2 + e1 * (n0 + 1)

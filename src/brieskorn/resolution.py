@@ -24,7 +24,8 @@ on the star with each chain kind weighted by its copies; the dense Bareiss
 minor test and per-vertex adjunction are their oracles in the tests.  Z,
 Laufer's sequence and p_a never expand the star.  Nothing here caches, except
 that a triple keeps its Seifert data, so dual_graph and the p_f and -Z^2
-formulas compute it once per triple between them.
+formulas compute it once per triple between them, and a star keeps its chain
+kinds, so Z and the definiteness test eliminate its chains once between them.
 """
 
 from __future__ import annotations
@@ -67,6 +68,34 @@ class DualGraph:
 
     center: tuple[int, int]
     branches: tuple[tuple[int, tuple[int, ...], int], ...]
+
+    @cached_property
+    def chain_kinds(self) -> tuple[tuple, int, int] | None:
+        """(chain, copies m, continuant remainders) once per distinct chain, and e.
+
+        For chain weights -b_1..-b_s (center outward), the remainders are
+        r_{s+1} = 0, r_s = 1, r_{j-1} = b_j r_j - r_{j+1}, so alpha = r_0 and
+        beta = r_1.  Eliminating a chain from its tip, the pivot at position j is
+        -r_{j-1}/r_j, so the chain is negative definite iff every r_j > 0; then
+        the center's pivot is the orbifold Euler number e = -c_0 + sum m beta/alpha,
+        returned as its numerator over ell = lcm(alpha).  None if a chain is not
+        negative definite.  Computed on first read, once per star, for
+        fundamental_cycle and is_negative_definite_tree alike.
+        """
+        copies: dict[tuple[int, ...], int] = {}
+        for _, chain, m in self.branches:
+            copies[chain] = copies.get(chain, 0) + m
+        kinds = []
+        for chain, m in copies.items():
+            r = [0, 1]  # r_{s+1}, r_s, then r_{s-1}, ..., r_0
+            for w in reversed(chain):
+                r.append(-w * r[-1] - r[-2])
+            if min(r[1:]) <= 0:
+                return None
+            kinds.append((chain, m, tuple(r[:0:-1])))  # r_0, ..., r_s
+        ell = lcm(*(r[0] for _, _, r in kinds))
+        e = self.center[0] * ell + sum(m * r[1] * (ell // r[0]) for _, m, r in kinds)
+        return tuple(kinds), e, ell
 
     @cached_property
     def vertices(self) -> tuple[tuple[int, int], ...]:
@@ -163,39 +192,12 @@ def dual_graph(t: BrieskornTriple) -> DualGraph:
     return build_dual_graph(seifert_data(t))
 
 
-def _chain_kinds(g: DualGraph) -> tuple[dict, int, int] | None:
-    """Each distinct chain with its copies m and continuant remainders, and e.
-
-    For chain weights -b_1..-b_s (center outward), the remainders are
-    r_{s+1} = 0, r_s = 1, r_{j-1} = b_j r_j - r_{j+1}, so alpha = r_0 and
-    beta = r_1.  Eliminating a chain from its tip, the pivot at position j is
-    -r_{j-1}/r_j, so the chain is negative definite iff every r_j > 0; then
-    the center's pivot is the orbifold Euler number e = -c_0 + sum m beta/alpha,
-    returned as its numerator over ell = lcm(alpha).  None if a chain is not
-    negative definite.
-    """
-    copies: dict[tuple[int, ...], int] = {}
-    for _, chain, m in g.branches:
-        copies[chain] = copies.get(chain, 0) + m
-    kinds: dict[tuple[int, ...], tuple[int, list[int]]] = {}
-    for chain, m in copies.items():
-        r = [0, 1]  # r_{s+1}, r_s, then r_{s-1}, ..., r_0
-        for w in reversed(chain):
-            r.append(-w * r[-1] - r[-2])
-        if min(r[1:]) <= 0:
-            return None
-        kinds[chain] = (m, r[:0:-1])  # r_0, ..., r_s
-    ell = lcm(*(r[0] for _, r in kinds.values()))
-    e = g.center[0] * ell + sum(m * r[1] * (ell // r[0]) for m, r in kinds.values())
-    return kinds, e, ell
-
-
 def fundamental_cycle(g: DualGraph) -> Cycle:
     """Minimal anti-nef cycle Z_min of the star, in closed form, in O(sum of chain lengths).
 
     The star is negative definite iff every chain is and the orbifold Euler
-    number e < 0 (see _chain_kinds).  A cycle with center coefficient x that
-    is anti-nef at the chain vertices is >= x r_j / alpha at chain vertex j
+    number e < 0 (see DualGraph.chain_kinds).  A cycle with center coefficient
+    x that is anti-nef at the chain vertices is >= x r_j / alpha at chain vertex j
     (the chain's form is negative definite), so >= ceil(x r_j / alpha).
     Hence Z_min's center coefficient satisfies sum ceil(x beta/alpha) <= c_0 x;
     the least such x >= 1 with those ceilings, once checked anti-nef, is
@@ -217,12 +219,12 @@ def fundamental_cycle(g: DualGraph) -> Cycle:
     are checked on one copy per kind and at the center, where the pairing is
     -c_0 x + sum m z_1.  The cycle is returned as that star record.
     """
-    star = _chain_kinds(g)
+    star = g.chain_kinds
     if star is None or star[1] >= 0:
         why = "a chain is not" if star is None else f"e = {star[1]}/{star[2]} >= 0"
         raise InternalCheckError(f"star is not negative definite ({why})")
     kinds, e, ell = star
-    terms = [(m, r[1], r[0]) for m, r in kinds.values()]
+    terms = [(m, r[1], r[0]) for _, m, r in kinds]
     c0 = -g.center[0]
 
     # ceil(m / (alpha |e|)) with |e| = -e / ell
@@ -240,7 +242,7 @@ def fundamental_cycle(g: DualGraph) -> Cycle:
     parts = {}
     anti_nef = True
     center_pairing = -c0 * x
-    for chain, (m, r) in kinds.items():
+    for chain, m, r in kinds:
         z = [x, *(-(-x * r_j // r[0]) for r_j in r[1:]), 0]  # center, chain, past the tip
         anti_nef = anti_nef and min(z[:-1]) >= 1 and all(
             z[j] * w + z[j - 1] + z[j + 1] <= 0 for j, w in enumerate(chain, 1)
@@ -363,10 +365,10 @@ def is_negative_definite_tree(g: DualGraph) -> bool:
     Eliminating leaves first creates no fill-in, and the pivots are the ratios
     of consecutive leading minors in that order, so the form is negative
     definite iff every pivot is < 0: each chain's, then the center's, which is
-    e (see _chain_kinds).  Its oracle is the dense Bareiss minor test in
-    tests/test_resolution.py.
+    e (see DualGraph.chain_kinds).  Its oracle is the dense Bareiss minor test
+    in tests/test_resolution.py.
     """
-    star = _chain_kinds(g)
+    star = g.chain_kinds
     return star is not None and star[1] < 0
 
 

@@ -15,9 +15,10 @@ e_k once per (pair, k, n), on (a, b, b), and the expansions once per triple.
 
 BrieskornPair (a, b) is the one home of everything the filtration of m derives
 without c: n_k, nr(m) = br(m), v_n, the sums S(n) with q(n*m) = p_g - S(n), and
-the Hilbert coefficients, each in closed form.  Triples read it as t.pair, so
-verify checks it once per pair.  The staircase functions below accept a triple
-or its pair.
+the Hilbert coefficients, each in closed form.  It also keeps the ladder of
+staircases closure(m^n), built once per pair by closure_of_m_power, which every
+staircase oracle reads.  Triples read it as t.pair, so verify checks it once per
+pair.  The staircase functions below accept a triple or its pair.
 """
 
 from __future__ import annotations
@@ -84,6 +85,13 @@ class BrieskornPair:
         """(e0_bar, e1_bar, e2_bar) = (a, sum_k n_k, sum_k C(n_k, 2)), in O(a)."""
         return (self.a, sum(self.n_seq), sum(comb(nk, 2) for nk in self.n_seq))
 
+    @cached_property
+    def staircases(self) -> tuple[StaircaseIdeal, ...]:
+        """closure(m^n) for n = 0..nr + max(a, 3) + 1, each built once by closure_of_m_power:
+        the ladder that the staircase oracles of filtration and verify read.  The nr scan
+        reads it up to nr + a + 1, the Hilbert fit up to nr + 4."""
+        return tuple(closure_of_m_power(self, n) for n in range(self.nr + max(self.a, 3) + 2))
+
 
 @dataclass(frozen=True)
 class BrieskornTriple:
@@ -106,6 +114,10 @@ class BrieskornTriple:
     @cached_property
     def n_seq(self) -> tuple[int, ...]:
         return self.pair.n_seq
+
+    @property
+    def staircases(self) -> tuple[StaircaseIdeal, ...]:
+        return self.pair.staircases
 
     @cached_property
     def expansion_min_degrees(self) -> tuple[int, ...]:

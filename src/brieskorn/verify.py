@@ -7,12 +7,16 @@ once per pair, and hands what it returns to the suite's triple checks: the
 membership pair check runs the socle lemma on the staircases closure(m^n) and
 compares their thresholds with the a-th-power expansion of (a, b, b), and its
 triple check compares each triple's expansion degrees, the one side that reads
-c, with that triple's.  Each triple gets one p_g, one invariants record built
-from it, and one star record built from the Seifert data the triple keeps, each
-on first use, for every suite that reads it; no suite expands the star.  The
-fundamental-genus suite hands its one Z to Laufer's sequence, run in batches
-on the star, as its step bound, and to the adjunction p_f and Z^2.  run_all
-walks once with all nine suites; each suite_* walks with its own alone.
+c, with that triple's.  The four staircase pair checks (the nr scan, the
+colength drops, the membership thresholds and the Hilbert fit) index the pair's
+one ladder ring.BrieskornPair.staircases, so each closure(m^n) is built once per
+pair.  Each triple gets one p_g, one invariants record built from it, and one
+star record built from the Seifert data the triple keeps, each on first use,
+for every suite that reads it; the q(m) formula reads that p_g, and no suite
+expands the star.  The fundamental-genus suite hands its one Z to Laufer's
+sequence, run in batches on the star, as its step bound, and to the adjunction
+p_f and Z^2.  run_all walks once with all nine suites; each suite_* walks with
+its own alone.
 
 An InternalCheckError is recorded as a failure of its pair or triple, so the
 suite still reports.  Builds are deterministic, so a p_g, record or graph that
@@ -80,19 +84,24 @@ def _nr_formula(p: ring.BrieskornPair, result: SuiteResult) -> None:
 def _membership_pair(p: ring.BrieskornPair, result: SuiteResult) -> tuple[int, ...]:
     """The socle lemma on closure(m^n), n = 1..nr + 2, and its thresholds vs the a-th
     power expansion of (a, b, b); returns that triple's expansion degrees.  Both
-    membership tests are thresholds in i + j, so this compares them at every i + j."""
+    membership tests are thresholds in i + j, so this compares them at every i + j,
+    as whole sequences over k; only a mismatch walks k to name each failing level."""
     least = p.triple(p.b)
+    socle = [ring.Monomial(k, 0, 0) for k in range(p.a)]
     for n in range(1, p.nr + 3):
-        ideal = ring.closure_of_m_power(p, n)
-        for k, e in enumerate(ideal.thresholds):
-            # x^k lies in closure(m^n) iff n <= n_k
-            if ring.contains(ideal, ring.Monomial(k, 0, 0)) != (n <= p.n_seq[k]):
-                result.failures.append(f"{p}: socle test fails at k={k}, n={n}")
-            degree = ring.power_membership_degree(least, k, n)
-            if e != degree:
-                result.failures.append(
-                    f"{p}: e_{k} = {e} != expansion degree {degree} at k={k}, n={n}"
-                )
+        ideal = p.staircases[n]
+        # x^k lies in closure(m^n) iff n <= n_k
+        lemma = [n <= nk for nk in p.n_seq]
+        members = [ring.contains(ideal, x) for x in socle]
+        degrees = [ring.power_membership_degree(least, k, n) for k in range(p.a)]
+        if members != lemma or list(ideal.thresholds) != degrees:
+            for k, e in enumerate(ideal.thresholds):
+                if members[k] != lemma[k]:
+                    result.failures.append(f"{p}: socle test fails at k={k}, n={n}")
+                if e != degrees[k]:
+                    result.failures.append(
+                        f"{p}: e_{k} = {e} != expansion degree {degrees[k]} at k={k}, n={n}"
+                    )
         result.checks += 2 * p.a
     return least.expansion_min_degrees
 
@@ -104,22 +113,25 @@ def _membership(t: ring.BrieskornTriple, result: SuiteResult, shared, degrees) -
         result.failures.append(f"{t}: expansion degrees {t.expansion_min_degrees} != {degrees}")
 
 
-def _q_pair(p: ring.BrieskornPair, result: SuiteResult) -> list[int]:
-    """v_n vs the colength oracle; returns S(n) summed term by term."""
+def _q_pair(p: ring.BrieskornPair, result: SuiteResult) -> tuple[list[int], int]:
+    """v_n vs the colength oracle; returns S(n) summed term by term, and the tail sum
+    of the q(m) formula."""
     for n, v in enumerate(p.v):
         result.checks += 1
         oracle = filtration.colength_drop_oracle(p, n)
         if v != oracle:
             result.failures.append(f"{p}: v_{n} = {v} != colength drop {oracle}")
-    return [filtration.drop_sum(p, n) for n in range(p.nr + 2)]
+    return [filtration.drop_sum(p, n) for n in range(p.nr + 2)], genus.q_of_m_tail(p)
 
 
-def _q_triple(t: ring.BrieskornTriple, result: SuiteResult, shared, drop_sums) -> None:
-    """q_1 vs the q(m) formula, q_n vs p_g - S(n), and the a = 2 closed form."""
+def _q_triple(t: ring.BrieskornTriple, result: SuiteResult, shared, handed) -> None:
+    """q_1 vs the q(m) formula on the shared p_g, q_n vs p_g - S(n), and the a = 2
+    closed form."""
+    drop_sums, tail = handed
     result.checks += 1
     inv = shared("record")
-    pg = inv.pg
-    q_m = genus.q_of_m(t)
+    pg = shared("pg")
+    q_m = pg - tail
     if inv.q[1] != q_m:
         result.failures.append(f"{t}: q_1 = {inv.q[1]} != q(m) formula {q_m}")
     for n, q in enumerate(inv.q):

@@ -1,4 +1,4 @@
-"""One verify.run_all(35) walk per test session, read by every module whose
+"""One verify.run_all(40) walk per test session, read by every module whose
 formula-vs-oracle sweep is a verify suite."""
 
 import pytest
@@ -6,10 +6,10 @@ import pytest
 
 @pytest.fixture(scope="session")
 def walk():
-    """Every suite's result from one verify.run_all(35) walk, by name."""
+    """Every suite's result from one verify.run_all(40) walk, by name."""
     from brieskorn.verify import run_all
 
-    return {result.name: result for result in run_all(35)}
+    return {result.name: result for result in run_all(40)}
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """The oracles that run only in verify still catch a wrong hot-path value."""
 
 from collections import Counter, defaultdict
+from functools import cached_property
 
 from brieskorn import classify, filtration, genus, resolution, ring
 from brieskorn.errors import InternalCheckError
@@ -76,12 +77,11 @@ def test_pg_bound_suite_catches_a_wrong_geometric_genus(monkeypatch):
     assert len(result.failures) == result.checks
 
 
-def test_membership_suite_catches_one_wrong_threshold(monkeypatch):
+def one_threshold_off(target: ring.BrieskornPair, k: int, n: int):
+    """closure_of_m_power, except that e_k of target's closure(m^n) is one too high."""
     exact = ring.closure_of_m_power
-    target, k, n = ring.BrieskornPair(3, 4), 0, 2
 
     def off_once(p, power):
-        # e_0 = 2 here, so x^0 stays outside the ideal and the socle test is blind
         ideal = exact(p, power)
         if (p, power) != (target, n):
             return ideal
@@ -89,7 +89,13 @@ def test_membership_suite_catches_one_wrong_threshold(monkeypatch):
         e[k] += 1
         return ring.StaircaseIdeal(p, tuple(e))
 
-    monkeypatch.setattr(ring, "closure_of_m_power", off_once)
+    return off_once
+
+
+def test_membership_suite_catches_one_wrong_threshold(monkeypatch):
+    target, k, n = ring.BrieskornPair(3, 4), 0, 2
+    # e_0 = 2 here, so x^0 stays outside the ideal and the socle test is blind
+    monkeypatch.setattr(ring, "closure_of_m_power", one_threshold_off(target, k, n))
     result = suite_membership_oracle(7)
     # the pair's thresholds are compared once, on its least triple
     assert result.failures == [f"{target}: e_{k} = 3 != expansion degree 2 at k={k}, n={n}"]
@@ -104,14 +110,31 @@ def test_membership_suite_builds_each_staircase_once_per_pair(monkeypatch):
         return exact(t, n)
 
     monkeypatch.setattr(ring, "closure_of_m_power", counted)
-    assert suite_membership_oracle(8).passed
+    assert all(result.passed for result in run_all(8))
+    # the pair's one ladder, n = 0..nr + max(a, 3) + 1, read by the nr scan, the
+    # colength drops, the membership thresholds and the Hilbert fit alike
     built = [
         (a, b, n)
         for a in range(2, 9)
         for b in range(a, 9)
-        for n in range(1, ring.BrieskornPair(a, b).nr + 3)
+        for n in range(ring.BrieskornPair(a, b).nr + max(a, 3) + 2)
     ]
     assert calls == Counter(built)
+
+
+def test_one_wrong_staircase_fails_every_suite_that_reads_it(monkeypatch):
+    target, k, n = ring.BrieskornPair(3, 4), 0, 2
+    monkeypatch.setattr(ring, "closure_of_m_power", one_threshold_off(target, k, n))
+    # the ladder is shared, so each oracle that reads closure(m^2) of (3, 4) still sees it
+    failed = {result.name: result.failures for result in run_all(7) if result.failures}
+    assert failed == {
+        "nr-formula-vs-staircase": [f"{target}: scan 3 != formula 2"],
+        "power-membership-oracle": [f"{target}: e_{k} = 3 != expansion degree 2 at k={k}, n={n}"],
+        "q-recursion": [
+            f"{target}: v_1 = 1 != colength drop -2",
+            f"{target}: v_2 = 0 != colength drop 4",
+        ],
+    }
 
 
 def test_membership_suite_catches_a_wrong_expansion_degree(monkeypatch):
@@ -212,20 +235,27 @@ def test_one_walk_computes_each_triple_once(monkeypatch):
         expand = getattr(record, name).func
         read = property(lambda r, name=name, expand=expand: calls.update([name]) or expand(r))
         monkeypatch.setattr(record, name, read)
+    eliminated = []  # every star whose chain kinds are computed, kept alive so ids differ
+    eliminate = resolution.DualGraph.chain_kinds.func
+    kept = cached_property(lambda g: eliminated.append(g) or eliminate(g))
+    kept.__set_name__(resolution.DualGraph, "chain_kinds")
+    monkeypatch.setattr(resolution.DualGraph, "chain_kinds", kept)
     run_all(8)
     walked = [(a, b, c) for a in range(2, 9) for b in range(a, 9) for c in range(b, 9)]
-    # q_sequence for the record; geometric_genus for the shared p_g the record is
-    # built from, and once more inside the q(m) oracle; one Seifert record, which
-    # the triple keeps for every reader; one star, which both graph suites read (no
-    # triple <= 8 takes the record's adjunction p_f path); and the walk never
+    # q_sequence for the record; geometric_genus for the shared p_g, which the
+    # record and the q(m) formula both read; one Seifert record, which the triple
+    # keeps for every reader; one star, which both graph suites read (no triple
+    # <= 8 takes the record's adjunction p_f path), and one elimination of its
+    # chain kinds, which Z and the definiteness test both read; and the walk never
     # expands a star or a cycle
     assert {t: calls["q_sequence", t] for t in walked} == dict.fromkeys(walked, 1)
-    assert {t: calls["geometric_genus", t] for t in walked} == dict.fromkeys(walked, 2)
+    assert {t: calls["geometric_genus", t] for t in walked} == dict.fromkeys(walked, 1)
     assert {t: len(set(map(id, records[t]))) for t in walked} == dict.fromkeys(walked, 1)
     assert {t: stars[id(records[t][0])] for t in walked} == dict.fromkeys(walked, 1)
     assert sum(stars.values()) == len(walked)
+    assert len(set(map(id, eliminated))) == len(eliminated) == len(walked)
     assert not calls["vertices"] and not calls["neighbors"] and not calls["coefficients"]
-    assert sum(calls.values()) == 3 * len(walked)
+    assert sum(calls.values()) == 2 * len(walked)
 
     cycles = Counter()
     exact = resolution.fundamental_cycle
