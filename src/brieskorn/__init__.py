@@ -10,7 +10,7 @@ exact integer/rational arithmetic with independent cross-checks.
 from .classify import Invariants, invariants, verify_nr3_certificate
 from .errors import FormulaInapplicableError, InternalCheckError
 from .filtration import normal_hilbert_coefficients, nr_by_staircase_oracle, q_sequence
-from .genus import geometric_genus, q_of_m
+from .genus import geometric_genus
 from .numtheory import hj_expand, mod_inverse_negation
 from .resolution import (
     Cycle,

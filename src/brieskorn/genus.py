@@ -1,4 +1,4 @@
-"""Geometric genus by lattice-point counting, and q(m).
+"""Geometric genus by lattice-point counting, and the c-free tail of q(m).
 
 p_g equals the number of nonnegative integer triples (t0, t1, t2) with
 q0*t0 + q1*t1 + q2*t2 <= D - q0 - q1 - q2, where (q0, q1, q2) = (bc, ac, ab)
@@ -6,15 +6,14 @@ are the weights of x, y, z and D = abc.  geometric_genus loops over t0 only:
 the t2 range collapses to an integer division and the t1 sum of those
 divisions to one floor_sum, so the count costs O(a log(abc)).  The direct loop
 over t0 and t1 is kept as geometric_genus_oracle and compared against it in
-verify.suite_pg_bound.  q_of_m is the per-triple formula for q(m) = p_g minus
-the c-free tail sum q_of_m_tail; verify.suite_q_recursion checks q_1 against
-that tail, once per pair, and the triple's one p_g.  The reports read q_1 from
-the record's q(n*m) (classify.Invariants.q).
+verify.suite_pg_bound.  q(m) = p_g minus the c-free tail sum q_of_m_tail of a
+pair; verify.suite_q_recursion checks q_1 against that tail, once per pair, and
+the triple's one p_g.  The reports read q(m) as q_1 of the record's q(n*m)
+(classify.Invariants.q), built from that same p_g.
 """
 
 from __future__ import annotations
 
-from .errors import InternalCheckError
 from .numtheory import floor_sum
 from .ring import BrieskornPair, BrieskornTriple
 
@@ -48,7 +47,7 @@ def geometric_genus_oracle(t: BrieskornTriple) -> int:
     return total
 
 
-def q_of_m_tail(p: BrieskornTriple | BrieskornPair) -> int:
+def q_of_m_tail(p: BrieskornPair) -> int:
     """sum_{n>=1} v_n, the part of q(m) = p_g - sum_{n>=1} v_n that does not read c.
 
     The sum telescopes to sum_{k=1}^{a-1} (n_k - n_{k-1})(a-k) minus the n = 0
@@ -56,13 +55,3 @@ def q_of_m_tail(p: BrieskornTriple | BrieskornPair) -> int:
     """
     n = p.n_seq
     return sum((n[k] - n[k - 1]) * (p.a - k) for k in range(1, p.a)) - (p.a - 1)
-
-
-def q_of_m(t: BrieskornTriple) -> int:
-    """q(m) = p_g - q_of_m_tail(t); must land in the sandwich 0 <= q(m) <= p_g."""
-    pg = geometric_genus(t)
-    q = pg - q_of_m_tail(t)
-    if not 0 <= q <= pg:
-        raise InternalCheckError(f"{t}: q(m) = {q} outside [0, {pg}]")
-    return q
-

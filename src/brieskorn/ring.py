@@ -2,10 +2,10 @@
 
 Monomials are written in the truncated basis {x^k y^i z^j : 0 <= k <= a-1},
 using the relation x^a = -(y^b + z^c).  Every ideal handled here has the
-shape sum_k x^k * Q^{e_k} with Q = (y, z); such an ideal is encoded by its
-per-level thresholds e_0, ..., e_{a-1}, and a monomial x^k y^i z^j belongs
-to it exactly when i + j >= e_k.  This covers all closures of powers of the
-maximal ideal and their Q-multiples.
+shape sum_k x^k * Q^{e_k} with Q = (y, z); such an ideal is its per-level
+thresholds e_0, ..., e_{a-1} and nothing more (StaircaseIdeal), and a monomial
+x^k y^i z^j belongs to it exactly when i + j >= e_k.  This covers all closures
+of powers of the maximal ideal and their Q-multiples.
 
 The independent membership oracle raises a monomial to the a-th power and
 reads off, for each level k and power n, the least total degree i + j that
@@ -17,8 +17,10 @@ BrieskornPair (a, b) is the one home of everything the filtration of m derives
 without c: n_k, nr(m) = br(m), v_n, the sums S(n) with q(n*m) = p_g - S(n), and
 the Hilbert coefficients, each in closed form.  It also keeps the ladder of
 staircases closure(m^n), built once per pair by closure_of_m_power, which every
-staircase oracle reads.  Triples read it as t.pair, so verify checks it once per
-pair.  The staircase functions below accept a triple or its pair.
+staircase oracle reads.  No staircase points back at its pair, so a pair and
+its ladder hold no reference cycle and are freed by reference counting alone.
+Triples read the pair as t.pair, so verify checks it once per pair.  The
+staircase functions below accept a triple or its pair.
 """
 
 from __future__ import annotations
@@ -89,7 +91,8 @@ class BrieskornPair:
     def staircases(self) -> tuple[StaircaseIdeal, ...]:
         """closure(m^n) for n = 0..nr + max(a, 3) + 1, each built once by closure_of_m_power:
         the ladder that the staircase oracles of filtration and verify read.  The nr scan
-        reads it up to nr + a + 1, the Hilbert fit up to nr + 4."""
+        reads it up to nr + a + 1, the Hilbert fit up to nr + 4.  Each rung is only its
+        thresholds, so the ladder is freed with its pair by reference counting."""
         return tuple(closure_of_m_power(self, n) for n in range(self.nr + max(self.a, 3) + 2))
 
 
@@ -167,19 +170,12 @@ class Monomial:
 
 @dataclass(frozen=True)
 class StaircaseIdeal:
-    """An ideal sum_k x^k * Q^{e_k}, Q = (y, z), given by thresholds e_k.
+    """An ideal sum_k x^k * Q^{e_k}, Q = (y, z): its thresholds e_k, k = 0..a-1, and
+    nothing else, so a = len(thresholds).  e_k = 0 encodes the full level x^k * A."""
 
-    e_k = 0 encodes the full level x^k * A.
-    """
-
-    triple: BrieskornTriple | BrieskornPair
     thresholds: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.thresholds) != self.triple.a:
-            raise ValueError(
-                f"expected {self.triple.a} thresholds, got {len(self.thresholds)}"
-            )
         for e in self.thresholds:
             if e < 0:
                 raise ValueError(f"thresholds must be nonnegative, got {e}")
@@ -192,19 +188,19 @@ def closure_of_m_power(t: BrieskornTriple | BrieskornPair, n: int) -> StaircaseI
     """
     if n < 0:
         raise ValueError(f"power must be nonnegative, got {n}")
-    return StaircaseIdeal(t, tuple(max(n - nk, 0) for nk in t.n_seq))
+    return StaircaseIdeal(tuple(max(n - nk, 0) for nk in t.n_seq))
 
 
 def contains(ideal: StaircaseIdeal, m: Monomial) -> bool:
     """Membership test: x^k y^i z^j is in the ideal iff i + j >= e_k."""
-    if m.k >= ideal.triple.a:
-        raise ValueError(f"x-exponent {m.k} exceeds a-1 = {ideal.triple.a - 1}")
+    if m.k >= len(ideal.thresholds):
+        raise ValueError(f"x-exponent {m.k} exceeds a-1 = {len(ideal.thresholds) - 1}")
     return m.i + m.j >= ideal.thresholds[m.k]
 
 
 def multiply_by_Q(ideal: StaircaseIdeal) -> StaircaseIdeal:
     """Q * sum_k x^k Q^{e_k} = sum_k x^k Q^{e_k + 1}."""
-    return StaircaseIdeal(ideal.triple, tuple(e + 1 for e in ideal.thresholds))
+    return StaircaseIdeal(tuple(e + 1 for e in ideal.thresholds))
 
 
 def colength(ideal: StaircaseIdeal) -> int:

@@ -246,6 +246,8 @@ _SUITES = {
 
 
 def _walk(bound: int, names) -> list[SuiteResult]:
+    if bound < 2:
+        raise ValueError(f"bound must be at least 2, got {bound}")
     results = [SuiteResult(name) for name in names]
     checks = [_SUITES[name] for name in names]
     for a in range(2, bound + 1):
@@ -281,6 +283,4 @@ suite_pg_bound = partial(_alone, "pg-lower-bound")
 
 def run_all(bound: int) -> list[SuiteResult]:
     """Every suite in one walk up to bound."""
-    if bound < 2:
-        raise ValueError(f"bound must be at least 2, got {bound}")
     return _walk(bound, _SUITES)

@@ -3,7 +3,8 @@ from math import comb
 
 from triples import triples
 
-from brieskorn.genus import geometric_genus, q_of_m
+from brieskorn.classify import invariants
+from brieskorn.genus import geometric_genus
 from brieskorn.ring import BrieskornTriple, new_triple
 
 
@@ -91,17 +92,19 @@ class TestGeometricGenus:
 
 
 class TestQOfM:
+    # q(m) is q_1 of the record; q_sequence raises on any q(n) < 0, and
+    # q(m) = p_g - S(1) with every v_n >= 0, so 0 <= q(m) <= p_g holds there
     def test_known_values(self):
-        assert q_of_m(new_triple(2, 3, 7)) == 1
-        assert q_of_m(new_triple(2, 4, 5)) == 0
-        assert q_of_m(new_triple(3, 4, 7)) == 2
-        assert q_of_m(new_triple(2, 6, 10)) == 2
+        assert invariants(new_triple(2, 3, 7)).q[1] == 1
+        assert invariants(new_triple(2, 4, 5)).q[1] == 0
+        assert invariants(new_triple(3, 4, 7)).q[1] == 2
+        assert invariants(new_triple(2, 6, 10)).q[1] == 2
 
     def test_pg_ideal_case_reaches_pg(self):
         # for a = 2, b in {2, 3} the tail vanishes and q(m) = p_g
         for c in range(3, 20):
             t = new_triple(2, 3, c)
-            assert q_of_m(t) == geometric_genus(t)
+            assert invariants(t).q[1] == geometric_genus(t)
 
     def test_tail_matches_termwise_sum(self, walk_failures):
         # p_g - q(m) = S(1): q-recursion checks q_1 = q(m) and q(1m) = p_g - S(1)

@@ -91,11 +91,20 @@ class TestClosure:
         assert not contains(closure_of_m_power(new_triple(2, 5, 10), 1), Monomial(0, 0, 0))
         assert contains(closure_of_m_power(new_triple(3, 4, 8), 3), Monomial(2, 0, 1))
 
+    def test_an_ideal_is_its_thresholds(self):
+        assert tuple(f.name for f in fields(StaircaseIdeal)) == ("thresholds",)
+        with pytest.raises(ValueError, match="nonnegative"):
+            StaircaseIdeal((1, -1))
+
+    def test_membership_rejects_a_level_past_a_minus_1(self):
+        t = new_triple(3, 4, 7)
+        with pytest.raises(ValueError, match="exceeds a-1 = 2"):
+            contains(closure_of_m_power(t, 2), Monomial(t.a, 0, 0))
+
 
 class TestMultiplyByQ:
     def test_shift(self):
-        t = new_triple(2, 5, 6)
-        assert multiply_by_Q(StaircaseIdeal(t, (3, 1))).thresholds == (4, 2)
+        assert multiply_by_Q(StaircaseIdeal((3, 1))).thresholds == (4, 2)
 
     def test_equality_onset_25c(self):
         t = new_triple(2, 5, 11)

@@ -1,9 +1,12 @@
 """The oracles that run only in verify still catch a wrong hot-path value."""
 
+import gc
 from collections import Counter, defaultdict
 from functools import cached_property
 
-from brieskorn import classify, filtration, genus, resolution, ring
+import pytest
+
+from brieskorn import classify, filtration, genus, resolution, ring, verify
 from brieskorn.errors import InternalCheckError
 from brieskorn.verify import (
     run_all,
@@ -87,7 +90,7 @@ def one_threshold_off(target: ring.BrieskornPair, k: int, n: int):
             return ideal
         e = list(ideal.thresholds)
         e[k] += 1
-        return ring.StaircaseIdeal(p, tuple(e))
+        return ring.StaircaseIdeal(tuple(e))
 
     return off_once
 
@@ -280,3 +283,23 @@ def test_a_record_that_fails_to_build_fails_once_in_each_reader(monkeypatch):
         assert len(result.failures) <= result.checks, result.name
         expected = [f"{target}: record refused"] if result.name in readers else []
         assert result.failures == expected, result.name
+
+
+def test_every_entry_point_refuses_a_bound_below_2():
+    entries = [run_all] + [getattr(verify, n) for n in dir(verify) if n.startswith("suite_")]
+    assert len(entries) == 1 + len(verify._SUITES)
+    for entry in entries:
+        with pytest.raises(ValueError, match="^bound must be at least 2, got 1$"):
+            entry(1)
+
+
+def test_the_walk_leaves_no_cyclic_garbage():
+    # pairs and their ladders, Seifert records, stars, cycles and each triple's
+    # shared builds are all freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        assert all(result.passed for result in run_all(8))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
