@@ -12,20 +12,15 @@ branch, which every copy carries; its coefficient tuple is built on first read.
 The fundamental cycle is computed in closed form on the star: after an
 O(sum of chain lengths) definiteness check (every chain definite and the
 orbifold Euler number e < 0), the center coefficient is the least x whose
-chain ceilings ceil(x r_j / alpha) keep the center pairing <= 0, and the
-result is checked anti-nef on one copy of each chain.  The search for x skips
-every x that a chain kind provably rules out (gcd(alpha, beta) = 1 forces
-alpha | x while the kind's m copies give m/alpha > |e| x), so it tests a few
-candidates instead of every x up to the center coefficient.  Its oracle in
-`verify` is Laufer's computation sequence, run in batches on the star with a
-step bound proved from the closed-form cycle; the per-vertex sequence is the
-batches' oracle in the tests.  Definiteness and the adjunction p_f are summed
-on the star with each chain kind weighted by its copies; the dense Bareiss
-minor test and per-vertex adjunction are their oracles in the tests.  Z,
-Laufer's sequence and p_a never expand the star.  Nothing here caches, except
-that a triple keeps its Seifert data, so dual_graph and the p_f and -Z^2
-formulas compute it once per triple between them, and a star keeps its chain
-kinds, so Z and the definiteness test eliminate its chains once between them.
+chain ceilings ceil(x r_j / alpha) keep the center pairing <= 0, found among a
+few candidates, and the result is checked anti-nef on one copy of each chain.
+Its oracle in `verify` is Laufer's computation sequence, in batches on the
+star from the lower bound L of laufer_start, proved from the dual cycles, to a
+step bound proved from Z; the per-vertex sequence from the all-ones cycle is
+the batches' oracle in the tests.  Definiteness and the adjunction p_f are
+summed on the star, each chain kind weighted by its copies; the dense Bareiss
+minor test and per-vertex adjunction are their oracles in the tests.  Z, L,
+Laufer's sequence and p_a never expand the star.
 """
 
 from __future__ import annotations
@@ -79,8 +74,7 @@ class DualGraph:
         -r_{j-1}/r_j, so the chain is negative definite iff every r_j > 0; then
         the center's pivot is the orbifold Euler number e = -c_0 + sum m beta/alpha,
         returned as its numerator over ell = lcm(alpha).  None if a chain is not
-        negative definite.  Computed on first read, once per star, for
-        fundamental_cycle and is_negative_definite_tree alike.
+        negative definite.  Computed once per star, on first read.
         """
         copies: dict[tuple[int, ...], int] = {}
         for _, chain, m in self.branches:
@@ -254,35 +248,58 @@ def fundamental_cycle(g: DualGraph) -> Cycle:
     return Cycle(x, tuple((parts[chain], copies) for _, chain, copies in g.branches))
 
 
+def laufer_start(g: DualGraph) -> Cycle:
+    """A lower bound L <= Z_min on the star, in integers, in O(sum of chain lengths).
+
+    Z_min is unique, so the star's automorphisms, which permute the m copies of
+    a chain kind, fix it: Z_min = sum over vertex classes O of n_O sum_{w in O}
+    E_w*, with n_O = -Z_min.E_w >= 0 and some n_O >= 1.  -I^-1 is 1/|e| at the
+    center, r_j/(alpha |e|) from there to chain position j, r_u r_w/(alpha_A
+    alpha_B |e|) across chains and at least that on one chain.  So every class
+    sum, and Z_min, is >= (r_u/alpha) mu/|e| at u and mu/|e| at the center,
+    with mu = min(1, min over the kinds of m/alpha).
+    """
+    if not is_negative_definite_tree(g):
+        raise InternalCheckError("star is not negative definite")
+    kinds, e, ell = g.chain_kinds
+    mu_ell = min([ell] + [m * (ell // r[0]) for _, m, r in kinds])  # an integer
+    # ceil(r_j mu / (alpha |e|)) with |e| = -e / ell, at least 1 as r_j mu > 0
+    parts = {c: tuple(-(r_j * mu_ell // (r[0] * e)) for r_j in r[1:]) for c, _, r in kinds}
+    return Cycle(-(mu_ell // e), tuple((parts[c], m) for _, c, m in g.branches))
+
+
 def laufer_cycle(g: DualGraph, y: Cycle) -> Cycle:
-    """Laufer's computation sequence from the all-ones cycle, in batches on the star.
+    """Laufer's computation sequence from L = laufer_start(g), in batches on the star.
 
     The oracle for fundamental_cycle.  A step bumps every copy of a vertex
     class (the center, or one position of a branch's chain) at once: a run of
     valid single bumps, as copies are never adjacent and keep equal pairings.
-    Every cycle of the sequence stays below any positive anti-nef cycle Y (a
-    bump at i with z_i = y_i would give Y.E_i >= Z.E_i > 0), so with y the
-    closed-form cycle, checked anti-nef before it is returned, it stops within
-    sum(y - 1) steps over the classes, y read on its parts.  y only bounds the
-    steps: a wrong y can make this raise, never return another cycle.
+    From L <= Z_min, in any order of bumps, every cycle stays below any positive
+    anti-nef Y (a bump at i with z_i = y_i would give Y.E_i >= Z.E_i > 0) and
+    the sequence ends at Z_min; with y the closed-form cycle, within sum(y - L)
+    class steps.  A start above y raises; an L above Z_min raises or ends above.
     """
+    start = laufer_start(g)
+    z = [start.center, *(c for part, _ in start.branches for c in part)]
+    top = [y.center, *(c for part, _ in y.branches for c in part)]
+    for i, (c, t) in enumerate(zip(z, top)):
+        if c > t:
+            raise InternalCheckError(f"Laufer's start {c} is above its bound {t} at class {i}")
     # class 0 is the center, then each branch's chain, center outward; bumping
-    # class i adds d to the pairing of class k for each (k, d) in effects[i]
-    pairing, effects = [g.center[0]], [[(0, g.center[0])]]
+    # class i adds d to the pairing of class k for each (k, d) in effects[i],
+    # and pairing[i] = Z . E_i on one copy of class i
+    pairing, effects = [g.center[0] * z[0]], [[(0, g.center[0])]]
     for _, chain, copies in g.branches:
         previous = 0
         for w in chain:
-            d = 1 if previous else copies  # vertices of this class next to one previous
-            effects[previous].append((len(pairing), 1))
-            effects.append([(len(pairing), w), (previous, d)])
-            pairing[previous] += d
-            previous = len(pairing)
-            pairing.append(w + 1)
-    # pairing[i] = Z . E_i on one copy of class i, from Z = 1 on; the minimal
-    # anti-nef cycle is unique, so the order of bumps does not matter
-    z = [1] * len(pairing)
+            i, d = len(pairing), 1 if previous else copies  # d: vertices next to one previous
+            effects[previous].append((i, 1))
+            effects.append([(i, w), (previous, d)])
+            pairing[previous] += d * z[i]
+            pairing.append(w * z[i] + z[previous])
+            previous = i
     worklist = [i for i, p in enumerate(pairing) if p > 0]
-    bound = y.center + sum(sum(part) for part, _ in y.branches) - len(z)
+    bound = sum(top) - sum(z)
     steps = 0
     while worklist:
         i = worklist.pop()
@@ -297,9 +314,7 @@ def laufer_cycle(g: DualGraph, y: Cycle) -> Cycle:
         if steps > bound:
             raise InternalCheckError(f"Laufer's sequence passed its bound of {bound} steps")
     rest = iter(z[1:])
-    return Cycle(
-        z[0], tuple((tuple(next(rest) for _ in chain), copies) for _, chain, copies in g.branches)
-    )
+    return Cycle(z[0], tuple((tuple(next(rest) for _ in c), m) for _, c, m in g.branches))
 
 
 def arithmetic_genus(g: DualGraph, z: Cycle) -> tuple[int, int]:

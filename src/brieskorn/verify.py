@@ -14,9 +14,9 @@ pair.  Each triple gets one p_g, one invariants record built from it, and one
 star record built from the Seifert data the triple keeps, each on first use,
 for every suite that reads it; the q(m) formula reads that p_g, and no suite
 expands the star.  The fundamental-genus suite hands its one Z to Laufer's
-sequence, run in batches on the star, as its step bound, and to the adjunction
-p_f and Z^2.  run_all walks once with all nine suites; each suite_* walks with
-its own alone.
+sequence, run on the star from a proved lower bound that never reads Z, as its
+step bound, and to the adjunction p_f and Z^2.  run_all walks once with all
+nine suites; each suite_* walks with its own alone.
 
 An InternalCheckError is recorded as a failure of its pair or triple, so the
 suite still reports.  Builds are deterministic, so a p_g, record or graph that

@@ -1,7 +1,9 @@
 import gc
 import random
 import weakref
-from collections import Counter
+from collections import Counter, defaultdict
+from fractions import Fraction
+from math import ceil
 
 import pytest
 from triples import triples
@@ -18,6 +20,7 @@ from brieskorn.resolution import (
     fundamental_genus_oracle,
     is_negative_definite_tree,
     laufer_cycle,
+    laufer_start,
     seifert_data,
     to_dot,
     to_json_dict,
@@ -124,6 +127,43 @@ def laufer_per_vertex(g: DualGraph, y: Cycle) -> tuple[int, ...]:
         if steps > cap:
             raise InternalCheckError(f"Laufer's sequence passed its bound of {cap} steps")
     return tuple(z)
+
+
+def ones(g: DualGraph) -> Cycle:
+    return Cycle(1, tuple(((1,) * len(chain), copies) for _, chain, copies in g.branches))
+
+
+def exact_inverse(matrix: list[list[int]]) -> list[list[Fraction]]:
+    """The inverse by Gauss-Jordan elimination over Fraction, on sparse rows.  The
+    pivots of a definite matrix never vanish, so no row is swapped; pivoting from
+    the last vertex back to the center takes each chain from its tip, which keeps
+    the rows short on a star."""
+    n = len(matrix)
+    # row i of [matrix | identity] as {column: nonzero entry}
+    m = [
+        {j: Fraction(x) for j, x in enumerate(row) if x} | {n + i: Fraction(1)}
+        for i, row in enumerate(matrix)
+    ]
+    for k in reversed(range(n)):
+        pivot = m[k][k]
+        m[k] = {j: x / pivot for j, x in m[k].items()}
+        for i, row in enumerate(m):
+            factor = row.get(k)
+            if i != k and factor:
+                for j, y in m[k].items():
+                    row[j] = row.get(j, 0) - factor * y
+    return [[row.get(n + j, Fraction(0)) for j in range(n)] for row in m]
+
+
+def vertex_classes(g: DualGraph) -> list:
+    """Each vertex's class, in DualGraph.vertices order: None for the center, else
+    (chain, position), shared by every copy of a chain kind across branches."""
+    return [None] + [
+        (chain, j)
+        for _, chain, copies in g.branches
+        for _ in range(copies)
+        for j in range(len(chain))
+    ]
 
 
 def adjunction_per_vertex(g: DualGraph) -> int:
@@ -303,15 +343,25 @@ class TestFundamentalCycle:
 
     def test_a_bound_below_z_min_raises(self):
         g = dual_graph(new_triple(3, 4, 7))
-        short = Cycle(1, tuple(((1,) * len(chain), copies) for _, chain, copies in g.branches))
-        for laufer in (laufer_cycle, laufer_per_vertex):
-            with pytest.raises(InternalCheckError, match="passed its bound of 0 steps"):
-                laufer(g, short)
+        with pytest.raises(InternalCheckError, match="passed its bound of 0 steps"):
+            laufer_per_vertex(g, ones(g))
+        # L's center is 6 against Z's 12 here, so the sequence needs steps
+        g = dual_graph(new_triple(30, 40, 50))
+        with pytest.raises(InternalCheckError, match="passed its bound of 0 steps"):
+            laufer_cycle(g, laufer_start(g))
+
+    def test_a_start_above_the_bound_raises(self):
+        # L = Z_min here, with 12 at the center
+        g = dual_graph(new_triple(3, 4, 7))
+        message = "^Laufer's start 12 is above its bound 1 at class 0$"
+        with pytest.raises(InternalCheckError, match=message):
+            laufer_cycle(g, ones(g))
 
     def test_not_negative_definite_star_raises(self):
         for g in NOT_NEGATIVE_DEFINITE:
-            with pytest.raises(InternalCheckError, match="not negative definite"):
-                fundamental_cycle(g)
+            for lower_or_minimal in (laufer_start, fundamental_cycle):
+                with pytest.raises(InternalCheckError, match="not negative definite"):
+                    lower_or_minimal(g)
 
     def test_multi_copy_stars_match_laufer(self):
         for g in NEGATIVE_DEFINITE:
@@ -331,6 +381,43 @@ class TestFundamentalCycle:
         assert fundamental_genus_oracle(g) == 350703
         assert is_negative_definite_tree(g)
         assert not {"vertices", "neighbors"} & vars(g).keys()
+
+
+class TestLauferStart:
+    def test_exact_inverse_of_a_small_matrix(self):
+        assert exact_inverse([[2, -1], [-1, 2]]) == [
+            [Fraction(2, 3), Fraction(1, 3)],
+            [Fraction(1, 3), Fraction(2, 3)],
+        ]
+
+    def test_between_the_dual_basis_bound_and_z_min(self):
+        # Z_min is a nonnegative integral sum of class sums of dual cycles with
+        # some coefficient >= 1, so ceil(min over classes) <= Z_min; L must stay
+        # below that ceiling at every vertex
+        for g in [*map(dual_graph, triples(12)), *NEGATIVE_DEFINITE]:
+            inverse = exact_inverse([[-x for x in row] for row in intersection_matrix(g)])
+            sums = defaultdict(lambda: [0] * len(inverse))
+            for w, key in enumerate(vertex_classes(g)):
+                sums[key] = [s + row[w] for s, row in zip(sums[key], inverse)]
+            bound = [ceil(min(column)) for column in zip(*sums.values())]
+            start, z = laufer_start(g).coefficients, fundamental_cycle(g).coefficients
+            assert all(s <= b <= x for s, b, x in zip(start, bound, z)), g
+
+    @pytest.mark.parametrize(
+        "triple", [(29, 57, 59), (41, 43, 47), (107, 116, 119), (839, 840, 840)]
+    )
+    def test_equals_z_min_on_heavy_stars_without_their_expansion(self, triple):
+        g = dual_graph(new_triple(*triple))
+        start, z = laufer_start(g), fundamental_cycle(g)
+        assert start == z
+        assert "coefficients" not in vars(start) and "coefficients" not in vars(z)
+        assert not {"vertices", "neighbors"} & vars(g).keys()
+
+    def test_below_z_min_on_a_gcd_heavy_star(self):
+        g = dual_graph(new_triple(30, 40, 50))
+        z = fundamental_cycle(g)
+        assert (laufer_start(g).center, z.center) == (6, 12)
+        assert laufer_cycle(g, z) == z
 
 
 class TestFundamentalGenus:

@@ -186,6 +186,39 @@ def test_fundamental_genus_suite_catches_a_non_minimal_cycle(monkeypatch):
     assert result.failures == [f"{target}: closed-form Z has 4 at vertex 0, Laufer's sequence 2"]
 
 
+def start_raised_at_the_center(target: ring.BrieskornTriple, center: int):
+    """laufer_start, except that target's star starts with the given center coefficient."""
+    exact = resolution.laufer_start
+    graph = resolution.dual_graph(target)
+
+    def raised(g):
+        start = exact(g)
+        return resolution.Cycle(center, start.branches) if g == graph else start
+
+    return raised
+
+
+def test_fundamental_genus_suite_catches_a_start_above_z_min(monkeypatch):
+    target = ring.BrieskornTriple(10, 12, 15)
+    graph = resolution.dual_graph(target)
+    assert resolution.laufer_start(graph) == resolution.fundamental_cycle(graph)
+    assert resolution.fundamental_cycle(graph).center == 2
+    monkeypatch.setattr(resolution, "laufer_start", start_raised_at_the_center(target, 3))
+    result = suite_fundamental_genus(15)
+    assert result.failures == [f"{target}: Laufer's start 3 is above its bound 2 at class 0"]
+
+
+def test_a_start_raised_but_still_below_z_min_changes_nothing(monkeypatch):
+    target = ring.BrieskornTriple(12, 14, 14)
+    graph = resolution.dual_graph(target)
+    z = resolution.fundamental_cycle(graph)
+    assert (resolution.laufer_start(graph).center, z.center) == (3, 6)
+    monkeypatch.setattr(resolution, "laufer_start", start_raised_at_the_center(target, 4))
+    assert resolution.laufer_start(graph).center == 4
+    assert resolution.laufer_cycle(graph, z) == z
+    assert suite_fundamental_genus(15).passed
+
+
 def test_negative_definite_suite_checks_past_exponent_12(monkeypatch):
     exact = resolution.is_negative_definite_tree
     target = ring.BrieskornTriple(13, 14, 15)
