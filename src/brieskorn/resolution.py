@@ -20,7 +20,10 @@ step bound proved from Z; the per-vertex sequence from the all-ones cycle is
 the batches' oracle in the tests.  Definiteness and the adjunction p_f are
 summed on the star, each chain kind weighted by its copies; the dense Bareiss
 minor test and per-vertex adjunction are their oracles in the tests.  Z, L,
-Laufer's sequence and p_a never expand the star.
+Laufer's sequence and p_a never expand the star.  A triple keeps its Seifert
+data and star, and a star its chain kinds and Z, once each, in its __dict__ as
+a cached property would and with no reference back, so the oracle, the
+adjunction p_f and every verify suite share one star and one Z per triple.
 """
 
 from __future__ import annotations
@@ -129,10 +132,8 @@ class Cycle:
 
 
 def seifert_data(t: BrieskornTriple) -> SeifertData:
-    """Compute all Seifert invariants of (a, b, c), checking integrality of g and c_0.
-
-    Once per triple object: t keeps the record in its __dict__, where a cached
-    property would, and the record holds no reference back to t."""
+    """Compute all Seifert invariants of (a, b, c), checking integrality of g and c_0;
+    once per triple object, which keeps the record (see the module docstring)."""
     if "seifert_data" in t.__dict__:
         return t.__dict__["seifert_data"]
     exps = (t.a, t.b, t.c)
@@ -183,7 +184,10 @@ def build_dual_graph(sd: SeifertData) -> DualGraph:
 
 
 def dual_graph(t: BrieskornTriple) -> DualGraph:
-    return build_dual_graph(seifert_data(t))
+    """The star of t, built once per triple object: t keeps it beside its Seifert data."""
+    if "dual_graph" not in t.__dict__:
+        t.__dict__["dual_graph"] = build_dual_graph(seifert_data(t))
+    return t.__dict__["dual_graph"]
 
 
 def fundamental_cycle(g: DualGraph) -> Cycle:
@@ -211,8 +215,11 @@ def fundamental_cycle(g: DualGraph) -> Cycle:
 
     Copies of a chain get equal coefficients, so positivity and anti-nefness
     are checked on one copy per kind and at the center, where the pairing is
-    -c_0 x + sum m z_1.  The cycle is returned as that star record.
+    -c_0 x + sum m z_1.  g keeps that star record once it passes; a star that fails
+    keeps nothing and raises on every call.
     """
+    if "fundamental_cycle" in g.__dict__:
+        return g.__dict__["fundamental_cycle"]
     star = g.chain_kinds
     if star is None or star[1] >= 0:
         why = "a chain is not" if star is None else f"e = {star[1]}/{star[2]} >= 0"
@@ -245,7 +252,8 @@ def fundamental_cycle(g: DualGraph) -> Cycle:
         center_pairing += m * z[1]
     if not anti_nef or center_pairing > 0:
         raise InternalCheckError("closed-form fundamental cycle is not positive and anti-nef")
-    return Cycle(x, tuple((parts[chain], copies) for _, chain, copies in g.branches))
+    g.__dict__["fundamental_cycle"] = Cycle(x, tuple((parts[c], m) for _, c, m in g.branches))
+    return g.__dict__["fundamental_cycle"]
 
 
 def laufer_start(g: DualGraph) -> Cycle:
@@ -338,7 +346,7 @@ def arithmetic_genus(g: DualGraph, z: Cycle) -> tuple[int, int]:
 
 
 def fundamental_genus_oracle(g: DualGraph) -> int:
-    """p_f = p_a(Z_min), by adjunction on the closed-form fundamental cycle."""
+    """p_f = p_a(Z_min), by adjunction on the closed-form fundamental cycle g keeps."""
     return arithmetic_genus(g, fundamental_cycle(g))[0]
 
 

@@ -10,21 +10,22 @@ triple check compares each triple's expansion degrees, the one side that reads
 c, with that triple's.  The four staircase pair checks (the nr scan, the
 colength drops, the membership thresholds and the Hilbert fit) index the pair's
 one ladder ring.BrieskornPair.staircases, so each closure(m^n) is built once per
-pair.  Each triple gets one p_g, one invariants record built from it, and one
-star record built from the Seifert data the triple keeps, each on first use,
-for every suite that reads it; the q(m) formula reads that p_g, and no suite
-expands the star.  The fundamental-genus suite hands its one Z to Laufer's
-sequence, run on the star from a proved lower bound that never reads Z, as its
-step bound, and to the adjunction p_f and Z^2.  run_all walks once with all
-nine suites; each suite_* walks with its own alone.
+pair.  Each triple gets one p_g and one invariants record built from it, each
+on first use, for every suite that reads it; the q(m) formula reads that p_g.
+The record's adjunction p_f and both graph suites read the star the triple
+keeps and the Z that star keeps (resolution.dual_graph, fundamental_cycle), and
+no suite expands the star.  The fundamental-genus suite hands that Z to
+Laufer's sequence, run on the star from a proved lower bound that never reads
+Z, as its step bound, and to the adjunction p_f and Z^2.  run_all walks once
+with all nine suites; each suite_* walks with its own alone.
 
 An InternalCheckError is recorded as a failure of its pair or triple, so the
-suite still reports.  Builds are deterministic, so a p_g, record or graph that
-fails to build raises again, and fails once, in each suite that reads it.
-Each counted check records at most one failure, and an error ends the suite's
-checks of that triple, or of that pair and its triples, so a suite never
-reports more failures than checks.  This is the engine behind
-`brieskorn verify`.
+suite still reports.  Builds are deterministic and nothing that fails is kept,
+so a p_g, record, star or Z that fails to build raises again, and fails once,
+in each suite that reads it.  Each counted check records at most one failure,
+and an error ends the suite's checks of that triple, or of that pair and its
+triples, so a suite never reports more failures than checks.  This is the
+engine behind `brieskorn verify`.
 """
 
 from __future__ import annotations
@@ -62,14 +63,12 @@ def _recorded(result: SuiteResult, subject, check, *args):
 
 
 def _shared(t: ring.BrieskornTriple, built: dict, name: str):
-    """t's "pg", "record" (built from that p_g) or star "graph", built once into built."""
+    """t's "pg" or "record" (built from that p_g), built once into built."""
     if name not in built:
         if name == "pg":
             built[name] = genus.geometric_genus(t)
-        elif name == "record":
-            built[name] = classify.invariants_from_pg(t, _shared(t, built, "pg"))
         else:
-            built[name] = resolution.dual_graph(t)
+            built[name] = classify.invariants_from_pg(t, _shared(t, built, "pg"))
     return built[name]
 
 
@@ -167,7 +166,7 @@ def _fundamental_genus(t: ring.BrieskornTriple, result: SuiteResult, shared, _) 
     formula applies, two more checks on that Z: closed-form p_f vs adjunction, and the
     -Z^2 formula."""
     result.checks += 1
-    graph = shared("graph")
+    graph = resolution.dual_graph(t)
     z = resolution.fundamental_cycle(graph)
     laufer = resolution.laufer_cycle(graph, z)
     if laufer != z:
@@ -193,7 +192,7 @@ def _negative_definite(t: ring.BrieskornTriple, result: SuiteResult, shared, _) 
     """Tip-to-center elimination on the star, once per chain kind; Bareiss is its
     oracle in tests/test_resolution.py."""
     result.checks += 1
-    if not resolution.is_negative_definite_tree(shared("graph")):
+    if not resolution.is_negative_definite_tree(resolution.dual_graph(t)):
         result.failures.append(f"{t}: intersection matrix not negative definite")
 
 

@@ -8,6 +8,7 @@ from math import ceil
 import pytest
 from triples import triples
 
+from brieskorn import resolution
 from brieskorn.errors import FormulaInapplicableError, InternalCheckError
 from brieskorn.resolution import (
     Cycle,
@@ -220,16 +221,20 @@ class TestSeifertData:
         assert sd.genus == 1
 
     def test_a_triple_keeps_its_record_without_a_reference_cycle(self):
-        # t keeps its Seifert data, which must not point back at t: with the
-        # collector off, only reference counting can free the triple
+        # t keeps its Seifert data and its star, and the star its Z; none points
+        # back at its owner: with the collector off, only reference counting can
+        # free them
         gc.disable()
         try:
             t = new_triple(3, 4, 7)
             fundamental_genus_formula(t)
             assert vars(t)["seifert_data"] is seifert_data(t)
-            freed = weakref.ref(t)
-            del t
-            assert freed() is None
+            g = dual_graph(t)
+            assert vars(t)["dual_graph"] is g
+            assert fundamental_cycle(g) is vars(g)["fundamental_cycle"]
+            freed = [weakref.ref(record) for record in (t, g, vars(g)["fundamental_cycle"])]
+            del t, g
+            assert [ref() for ref in freed] == [None] * 3
         finally:
             gc.enable()
 
@@ -302,6 +307,20 @@ class TestFundamentalCycle:
             g = dual_graph(t)
             assert cycle_self_intersection(g, fundamental_cycle(g)) < 0
 
+    def test_the_public_sequence_computes_z_once(self, monkeypatch):
+        # Z is the one Cycle record built here: the triple keeps its star, the
+        # star its Z, and the oracle and the record's adjunction p_f read both
+        built = []
+        monkeypatch.setattr(resolution, "Cycle", lambda *f: built.append(f) or Cycle(*f))
+        t = new_triple(10, 12, 15)  # outside the p_f formula's hypothesis
+        g = dual_graph(t)
+        z = fundamental_cycle(g)
+        assert fundamental_genus_oracle(g) == 23
+        assert len(built) == 1
+        assert fundamental_cycle(g) is z
+        assert dual_graph(t) is g
+        assert fundamental_genus(t) == 23 and len(built) == 1
+
     def test_closed_form_matches_laufer(self, walk_failures):
         assert not walk_failures("fundamental-genus", "Laufer's sequence")
 
@@ -358,8 +377,9 @@ class TestFundamentalCycle:
             laufer_cycle(g, ones(g))
 
     def test_not_negative_definite_star_raises(self):
+        # a star that fails keeps no Z, so the second call raises as the first did
         for g in NOT_NEGATIVE_DEFINITE:
-            for lower_or_minimal in (laufer_start, fundamental_cycle):
+            for lower_or_minimal in (laufer_start, fundamental_cycle, fundamental_cycle):
                 with pytest.raises(InternalCheckError, match="not negative definite"):
                     lower_or_minimal(g)
 

@@ -297,8 +297,42 @@ def test_one_walk_computes_each_triple_once(monkeypatch):
     exact = resolution.fundamental_cycle
     monkeypatch.setattr(resolution, "fundamental_cycle", lambda g: cycles.update([g]) or exact(g))
     suite_fundamental_genus(8)
-    # one Z per triple: Laufer's step bound, the adjunction p_f and Z^2 all read it
+    # one call of fundamental_cycle per triple, whose Z Laufer's step bound, the
+    # adjunction p_f and Z^2 all read; this counts calls, and the star keeps its Z,
+    # so later calls return it without computing it again
     assert cycles == Counter(resolution.dual_graph(ring.BrieskornTriple(*t)) for t in walked)
+
+
+def test_the_adjunction_path_reads_the_one_star_and_z_of_its_triple(monkeypatch):
+    # the record's adjunction p_f and both graph suites read the star the triple
+    # keeps, and the Z that star keeps: the closed form runs only on a star that
+    # holds no Z yet
+    stars, computed, fallbacks = Counter(), Counter(), Counter()
+    exact_build, exact_z = resolution.build_dual_graph, resolution.fundamental_cycle
+    exact_oracle = resolution.fundamental_genus_oracle
+
+    def counted_build(sd):
+        g = exact_build(sd)
+        stars.update([g])
+        return g
+
+    def counted_z(g):
+        if "fundamental_cycle" not in vars(g):
+            computed.update([g])
+        return exact_z(g)
+
+    monkeypatch.setattr(resolution, "build_dual_graph", counted_build)
+    monkeypatch.setattr(resolution, "fundamental_cycle", counted_z)
+    monkeypatch.setattr(
+        resolution, "fundamental_genus_oracle", lambda g: fallbacks.update([g]) or exact_oracle(g)
+    )
+    assert all(result.passed for result in run_all(15))
+    targets = [(6, 10, 15), (10, 12, 15)]  # the triples <= 15 outside the p_f formula
+    graphs = [exact_build(resolution.seifert_data(ring.BrieskornTriple(*t))) for t in targets]
+    assert fallbacks == Counter(graphs)
+    assert [(stars[g], computed[g]) for g in graphs] == [(1, 1), (1, 1)]
+    walked = sum(1 for a in range(2, 16) for b in range(a, 16) for c in range(b, 16))
+    assert sum(stars.values()) == sum(computed.values()) == walked
 
 
 def test_a_record_that_fails_to_build_fails_once_in_each_reader(monkeypatch):
