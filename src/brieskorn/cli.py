@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 verification failure (a failed verify suite or a
 failed internal self-consistency check), 2 usage error; main reports either
 error in one line on stderr.  All numeric output is exact (integers); JSON is
 emitted with sorted keys so that parsing and re-emitting is byte-identical.
+Scan rows are read straight from classify.invariants, in SCAN_COLUMNS order.
 """
 
 from __future__ import annotations
@@ -114,25 +115,23 @@ def _scan_rows(args):
             for c in args.c_range:
                 if c < b:
                     continue
-                d = _invariants_dict(pair.triple(c))
-                if args.filter != "all" and not d[args.filter]:
+                inv = classify.invariants(pair.triple(c))
+                if args.filter != "all" and not getattr(inv, args.filter):
                     continue
-                d["nr_A_status"], d["nr_A"] = d["nr_A"]["status"], d["nr_A"]["value"]
-                yield {key: d[key] for key in SCAN_COLUMNS}
+                yield [a, b, c, inv.pg, pair.nr, inv.q[1], inv.pf, inv.rational,
+                       inv.elliptic, inv.boundary, inv.rees_normal, *inv.nr_A]
 
 
 def cmd_scan(args, out) -> int:
-    rows = list(_scan_rows(args))
+    rows = _scan_rows(args)
     if args.format == "json":
-        out.write(_dump_json(rows))
+        out.write(_dump_json([dict(zip(SCAN_COLUMNS, row)) for row in rows]))
     else:
         buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=SCAN_COLUMNS, lineterminator="\r\n")
-        writer.writeheader()
+        writer = csv.writer(buffer, lineterminator="\r\n")
+        writer.writerow(SCAN_COLUMNS)
         for row in rows:
-            writer.writerow(
-                {k: (str(v).lower() if isinstance(v, bool) else v) for k, v in row.items()}
-            )
+            writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in row])
         out.write(buffer.getvalue())
     return 0
 

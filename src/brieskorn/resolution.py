@@ -23,7 +23,8 @@ minor test and per-vertex adjunction are their oracles in the tests.  Z, L,
 Laufer's sequence and p_a never expand the star.  A triple keeps its Seifert
 data and star, and a star its chain kinds and Z, once each, in its __dict__ as
 a cached property would and with no reference back, so the oracle, the
-adjunction p_f and every verify suite share one star and one Z per triple.
+adjunction p_f and every verify suite share one star and one Z per triple.  The
+closed forms for p_f and -Z^2 read only gcds of (a, b, c), not the record.
 """
 
 from __future__ import annotations
@@ -350,16 +351,22 @@ def fundamental_genus_oracle(g: DualGraph) -> int:
     return arithmetic_genus(g, fundamental_cycle(g))[0]
 
 
+def _formula_terms(t: BrieskornTriple) -> tuple[int, int, int]:
+    """(lambda_3, alpha_3, alpha_1 alpha_2 alpha_3) from gcds of (a, b, c), as in seifert_data."""
+    a, b, c = t.a, t.b, t.c
+    ab = lcm(a, b)
+    g = gcd(c, ab)
+    alpha_3 = c // g
+    return ab // g, alpha_3, a // gcd(a, lcm(b, c)) * (b // gcd(b, lcm(a, c))) * alpha_3
+
+
 def fundamental_genus_formula(t: BrieskornTriple) -> int:
-    """Closed form for p_f, valid when lambda_3 <= alpha_1*alpha_2*alpha_3."""
-    sd = seifert_data(t)
-    alpha_product = sd.alpha[0] * sd.alpha[1] * sd.alpha[2]
-    if sd.lam[2] > alpha_product:
-        raise FormulaInapplicableError(
-            f"{t}: lambda_3 = {sd.lam[2]} > alpha = {alpha_product}"
-        )
-    ceil_ratio = -(-sd.lam[2] // sd.alpha[2])
-    numerator = t.a * t.b - t.a - t.b - (2 * ceil_ratio - 1) * gcd(t.a, t.b)
+    """Closed form for p_f, valid when lambda_3 <= alpha_1*alpha_2*alpha_3; it reads only
+    gcds of (a, b, c), never the Seifert record or the star."""
+    lam_3, alpha_3, alpha_product = _formula_terms(t)
+    if lam_3 > alpha_product:
+        raise FormulaInapplicableError(f"{t}: lambda_3 = {lam_3} > alpha = {alpha_product}")
+    numerator = t.a * t.b - t.a - t.b - (2 * -(-lam_3 // alpha_3) - 1) * gcd(t.a, t.b)
     if numerator % 2 != 0:
         raise InternalCheckError(f"{t}: p_f numerator {numerator} is odd")
     pf = numerator // 2 + 1
@@ -377,9 +384,9 @@ def fundamental_genus(t: BrieskornTriple) -> int:
 
 
 def expected_minus_z_squared(t: BrieskornTriple) -> int:
-    """-Z_E^2 = ghat_3 * ceil(lambda_3 / alpha_3) (with the p_f formula's hypothesis)."""
-    sd = seifert_data(t)
-    return sd.ghat[2] * (-(-sd.lam[2] // sd.alpha[2]))
+    """-Z_E^2 = gcd(a, b) * ceil(lambda_3 / alpha_3), with the p_f formula's hypothesis."""
+    lam_3, alpha_3, _ = _formula_terms(t)
+    return gcd(t.a, t.b) * -(-lam_3 // alpha_3)
 
 
 def is_negative_definite_tree(g: DualGraph) -> bool:

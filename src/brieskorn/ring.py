@@ -19,8 +19,7 @@ the Hilbert coefficients, each in closed form.  It also keeps the ladder of
 staircases closure(m^n), built once per pair by closure_of_m_power, which every
 staircase oracle reads.  No staircase points back at its pair, so a pair and
 its ladder hold no reference cycle and are freed by reference counting alone.
-Triples read the pair as t.pair, so verify checks it once per pair.  The
-staircase functions below accept a triple or its pair.
+Triples read the pair as t.pair, so verify checks it once per pair.
 """
 
 from __future__ import annotations
@@ -91,8 +90,7 @@ class BrieskornPair:
     def staircases(self) -> tuple[StaircaseIdeal, ...]:
         """closure(m^n) for n = 0..nr + max(a, 3) + 1, each built once by closure_of_m_power:
         the ladder that the staircase oracles of filtration and verify read.  The nr scan
-        reads it up to nr + a + 1, the Hilbert fit up to nr + 4.  Each rung is only its
-        thresholds, so the ladder is freed with its pair by reference counting."""
+        reads it up to nr + a + 1, the Hilbert fit up to nr + 4."""
         return tuple(closure_of_m_power(self, n) for n in range(self.nr + max(self.a, 3) + 2))
 
 
@@ -113,14 +111,6 @@ class BrieskornTriple:
     @cached_property
     def pair(self) -> BrieskornPair:
         return BrieskornPair(self.a, self.b)
-
-    @cached_property
-    def n_seq(self) -> tuple[int, ...]:
-        return self.pair.n_seq
-
-    @property
-    def staircases(self) -> tuple[StaircaseIdeal, ...]:
-        return self.pair.staircases
 
     @cached_property
     def expansion_min_degrees(self) -> tuple[int, ...]:
@@ -181,14 +171,14 @@ class StaircaseIdeal:
                 raise ValueError(f"thresholds must be nonnegative, got {e}")
 
 
-def closure_of_m_power(t: BrieskornTriple | BrieskornPair, n: int) -> StaircaseIdeal:
+def closure_of_m_power(p: BrieskornPair, n: int) -> StaircaseIdeal:
     """Integral closure of m^n: thresholds e_k = max(n - n_k, 0).
 
     n = 0 gives the unit ideal (all thresholds zero).
     """
     if n < 0:
         raise ValueError(f"power must be nonnegative, got {n}")
-    return StaircaseIdeal(tuple(max(n - nk, 0) for nk in t.n_seq))
+    return StaircaseIdeal(tuple(max(n - nk, 0) for nk in p.n_seq))
 
 
 def contains(ideal: StaircaseIdeal, m: Monomial) -> bool:

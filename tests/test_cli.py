@@ -174,6 +174,21 @@ class TestReferenceDigests:
         runs = [(["scan", a, "2..40", "2..40"], d) for a, d in slabs.items()]
         assert self.mismatches(runs) == []
 
+    # recorded before scan rows were read straight from the record
+    BOX = ["scan", "2..8", "2..24", "2..24"]
+    SCANS = {
+        ("--json",): "e2dcfc2b328a28bb",
+        ("--filter", "rational"): "5ff9850bb752a02a",
+        ("--filter", "elliptic"): "e2e481bb0135ab47",
+        ("--filter", "boundary"): "6a345164ddf44424",
+        ("--filter", "rees_normal"): "9694345b64d72c07",
+        ("--json", "--filter", "elliptic"): "7f739950db6cd561",
+    }
+
+    def test_scan_json_and_filters(self):
+        runs = [(self.BOX + list(options), digest) for options, digest in self.SCANS.items()]
+        assert self.mismatches(runs) == []
+
     # (2, 2, 3) has empty branches, (2, 4, 8) a genus-1 center, (6, 10, 15) is
     # outside the p_f formula, b = c in the last three; V = 14,161 at (119, 120, 120)
     GRAPHS = {
@@ -251,6 +266,21 @@ class TestOneRecordPerTriple:
             calls.clear()
             assert main(["invariants", *triple, "--json"]) == 0
             assert calls == {"geometric_genus": 1, "q_sequence": 1, "fundamental_genus": 1}
+
+    def test_scan_builds_a_star_only_on_the_adjunction_path(self, monkeypatch, capsys):
+        records, stars = [], []
+        exact_seifert, exact_build = resolution.seifert_data, resolution.build_dual_graph
+        monkeypatch.setattr(
+            resolution, "seifert_data", lambda t: records.append(t) or exact_seifert(t)
+        )
+        monkeypatch.setattr(
+            resolution, "build_dual_graph", lambda sd: stars.append(sd) or exact_build(sd)
+        )
+        assert main(["scan", "2..10", "2..40", "2..40"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 5701
+        # the 11 triples of the box outside the p_f formula, such as (6, 10, 15)
+        assert len(records) == len(stars) == 11
+        assert len({(t.a, t.b, t.c) for t in records}) == 11
 
     @pytest.mark.parametrize(
         "argv", [["invariants", "3", "4", "7"], ["scan", "3", "4", "6..8", "--json"]]

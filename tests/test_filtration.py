@@ -36,13 +36,13 @@ class TestColengthDrop:
     def test_vanishes_from_br(self):
         for t in triples(15):
             nr, v = t.pair.nr, t.pair.v
-            assert v[nr] == 0 and colength_drop_oracle(t, nr + 1) == 0
+            assert v[nr] == 0 and colength_drop_oracle(t.pair, nr + 1) == 0
             if nr >= 1:
                 assert v[nr - 1] >= 1
 
     def test_agrees_with_colength_oracle(self):
         for t in triples(10):
-            assert t.pair.v == tuple(colength_drop_oracle(t, n) for n in range(t.pair.nr + 1))
+            assert t.pair.v == tuple(colength_drop_oracle(t.pair, n) for n in range(t.pair.nr + 1))
 
     def test_v0_is_a_minus_one(self):
         for t in triples(15):
@@ -82,14 +82,14 @@ class TestQSequence:
 
 class TestHilbertCoefficients:
     def test_245(self):
-        assert normal_hilbert_coefficients(new_triple(2, 4, 5)) == (2, 2, 1)
+        assert normal_hilbert_coefficients(new_triple(2, 4, 5).pair) == (2, 2, 1)
 
     def test_347(self):
-        assert normal_hilbert_coefficients(new_triple(3, 4, 7)) == (3, 3, 1)
+        assert normal_hilbert_coefficients(new_triple(3, 4, 7).pair) == (3, 3, 1)
 
     def test_rational_double_point(self):
         # (2,3,5) is rational: e2_bar = 0
-        assert normal_hilbert_coefficients(new_triple(2, 3, 5)) == (2, 1, 0)
+        assert normal_hilbert_coefficients(new_triple(2, 3, 5).pair) == (2, 1, 0)
 
     def test_a2_closed_form(self, walk_failures):
         assert not walk_failures("hilbert-coefficients", "a=2 coefficients")

@@ -3,7 +3,7 @@ import random
 import weakref
 from collections import Counter, defaultdict
 from fractions import Fraction
-from math import ceil
+from math import ceil, prod
 
 import pytest
 from triples import triples
@@ -227,7 +227,7 @@ class TestSeifertData:
         gc.disable()
         try:
             t = new_triple(3, 4, 7)
-            fundamental_genus_formula(t)
+            seifert_data(t)
             assert vars(t)["seifert_data"] is seifert_data(t)
             g = dual_graph(t)
             assert vars(t)["dual_graph"] is g
@@ -453,6 +453,28 @@ class TestFundamentalGenus:
         with pytest.raises(FormulaInapplicableError):
             fundamental_genus_formula(t)
         assert fundamental_genus(t) == fundamental_genus_oracle(dual_graph(t))
+
+    def test_formula_builds_neither_record(self):
+        t = new_triple(3, 4, 7)
+        assert fundamental_genus(t) == 2
+        assert "seifert_data" not in vars(t) and "dual_graph" not in vars(t)
+
+    def test_formula_gcds_agree_with_seifert_data(self):
+        inapplicable = set()
+        for t in triples(30):
+            sd = seifert_data(new_triple(t.a, t.b, t.c))
+            lam_3, alpha_3, alpha_product = resolution._formula_terms(t)
+            assert (lam_3, alpha_3, alpha_product) == (sd.lam[2], sd.alpha[2], prod(sd.alpha)), t
+            minus_z2 = sd.ghat[2] * -(-sd.lam[2] // sd.alpha[2])
+            assert resolution.expected_minus_z_squared(t) == minus_z2
+            if sd.lam[2] > prod(sd.alpha):
+                with pytest.raises(FormulaInapplicableError, match=f"lambda_3 = {sd.lam[2]} >"):
+                    fundamental_genus_formula(t)
+                inapplicable.add((t.a, t.b, t.c))
+            else:
+                fundamental_genus_formula(t)
+            assert "seifert_data" not in vars(t)
+        assert {(6, 10, 15), (10, 12, 15)} <= inapplicable
 
     def test_formula_matches_oracle(self, walk_failures):
         assert not walk_failures("fundamental-genus", "vs adjunction")

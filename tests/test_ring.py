@@ -28,14 +28,14 @@ def brute_force_colength(ideal: StaircaseIdeal) -> int:
 class TestTriple:
     def test_347_constants(self):
         t = new_triple(3, 4, 7)
-        assert t.n_seq == (0, 1, 2)
+        assert t.pair.n_seq == (0, 1, 2)
         assert (t.q0, t.q1, t.q2) == (28, 21, 12)
         assert t.D == 84
         assert t.a_invariant == 84 - 28 - 21 - 12
 
     def test_225_constants(self):
         t = new_triple(2, 2, 5)
-        assert t.n_seq == (0, 1)
+        assert t.pair.n_seq == (0, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -45,7 +45,7 @@ class TestTriple:
 
     def test_n_seq_strictly_increasing_from_one(self):
         for t in triples(15):
-            n = t.n_seq
+            n = t.pair.n_seq
             assert n[0] == 0
             assert all(n[k] >= k for k in range(t.a))
             assert all(n[k] < n[k + 1] for k in range(1, t.a - 1))
@@ -61,7 +61,7 @@ class TestPair:
         assert data == ((0, 1, 3, 4), 4, (3, 2, 2, 1, 0), (4, 8, 9))
         for c in (6, 9, 40):
             t = new_triple(4, 6, c)
-            assert (t.n_seq, t.pair.nr, t.pair.v, t.pair.hilbert) == data
+            assert (t.pair.n_seq, t.pair.nr, t.pair.v, t.pair.hilbert) == data
             assert pair.triple(c).pair is pair
 
     def test_validation(self):
@@ -74,22 +74,22 @@ class TestPair:
 class TestClosure:
     def test_thresholds_256(self):
         t = new_triple(2, 5, 6)
-        assert closure_of_m_power(t, 3).thresholds == (3, 1)
+        assert closure_of_m_power(t.pair, 3).thresholds == (3, 1)
 
     def test_unit_ideal_at_zero(self):
         t = new_triple(3, 4, 7)
-        assert closure_of_m_power(t, 0).thresholds == (0, 0, 0)
+        assert closure_of_m_power(t.pair, 0).thresholds == (0, 0, 0)
 
     def test_347_square_contains_x_squared(self):
         t = new_triple(3, 4, 7)
-        ideal = closure_of_m_power(t, 2)
+        ideal = closure_of_m_power(t.pair, 2)
         assert ideal.thresholds == (2, 1, 0)
         assert contains(ideal, Monomial(2, 0, 0))
 
     def test_membership_examples(self):
-        assert contains(closure_of_m_power(new_triple(2, 5, 10), 3), Monomial(1, 0, 1))
-        assert not contains(closure_of_m_power(new_triple(2, 5, 10), 1), Monomial(0, 0, 0))
-        assert contains(closure_of_m_power(new_triple(3, 4, 8), 3), Monomial(2, 0, 1))
+        assert contains(closure_of_m_power(new_triple(2, 5, 10).pair, 3), Monomial(1, 0, 1))
+        assert not contains(closure_of_m_power(new_triple(2, 5, 10).pair, 1), Monomial(0, 0, 0))
+        assert contains(closure_of_m_power(new_triple(3, 4, 8).pair, 3), Monomial(2, 0, 1))
 
     def test_an_ideal_is_its_thresholds(self):
         assert tuple(f.name for f in fields(StaircaseIdeal)) == ("thresholds",)
@@ -99,7 +99,7 @@ class TestClosure:
     def test_membership_rejects_a_level_past_a_minus_1(self):
         t = new_triple(3, 4, 7)
         with pytest.raises(ValueError, match="exceeds a-1 = 2"):
-            contains(closure_of_m_power(t, 2), Monomial(t.a, 0, 0))
+            contains(closure_of_m_power(t.pair, 2), Monomial(t.a, 0, 0))
 
 
 class TestMultiplyByQ:
@@ -111,30 +111,30 @@ class TestMultiplyByQ:
         hits = [
             n
             for n in range(6)
-            if multiply_by_Q(closure_of_m_power(t, n)) == closure_of_m_power(t, n + 1)
+            if multiply_by_Q(closure_of_m_power(t.pair, n)) == closure_of_m_power(t.pair, n + 1)
         ]
         assert hits == [2, 3, 4, 5]  # first at n_1 = 2
 
     def test_equality_33c(self):
         t = new_triple(3, 3, 9)
-        assert multiply_by_Q(closure_of_m_power(t, 2)) == closure_of_m_power(t, 3)
+        assert multiply_by_Q(closure_of_m_power(t.pair, 2)) == closure_of_m_power(t.pair, 3)
 
 
 class TestColength:
     def test_maximal_ideal_has_colength_one(self):
         for t in [new_triple(2, 2, 2), new_triple(3, 4, 7), new_triple(5, 6, 7)]:
-            assert colength(closure_of_m_power(t, 1)) == 1
+            assert colength(closure_of_m_power(t.pair, 1)) == 1
 
     def test_245_cube(self):
         # 7 = T(3) + T(1); frozen after checking against brute-force enumeration
-        ideal = closure_of_m_power(new_triple(2, 4, 5), 3)
+        ideal = closure_of_m_power(new_triple(2, 4, 5).pair, 3)
         assert colength(ideal) == 7
         assert brute_force_colength(ideal) == 7
 
     def test_agrees_with_enumeration(self):
         for t in triples(7):
             for n in range(0, 8):
-                ideal = closure_of_m_power(t, n)
+                ideal = closure_of_m_power(t.pair, n)
                 assert colength(ideal) == brute_force_colength(ideal)
 
 
@@ -157,9 +157,9 @@ class TestPowerMembershipOracle:
     def test_agrees_with_staircase(self):
         # both sides depend on i, j only through i + j
         for t in triples(12):
-            top = t.n_seq[t.a - 1] + 2
+            top = t.pair.n_seq[t.a - 1] + 2
             for n in range(1, top + 1):
-                ideal = closure_of_m_power(t, n)
+                ideal = closure_of_m_power(t.pair, n)
                 for k in range(t.a):
                     for s in range(n + 1):
                         m = Monomial(k, s - s // 2, s // 2)
@@ -169,7 +169,7 @@ class TestPowerMembershipOracle:
     def test_degree_is_where_the_oracle_turns_true(self):
         for t in triples(12):
             for k in range(t.a):
-                for n in range(1, t.n_seq[t.a - 1] + 3):
+                for n in range(1, t.pair.n_seq[t.a - 1] + 3):
                     degree = power_membership_degree(t, k, n)
                     assert 0 <= degree <= n
                     # least s with every term of (y^b + z^c)^k y^{as} of degree >= n*a
@@ -187,9 +187,9 @@ class TestPowerMembershipOracle:
     def test_sandwich_q_power_inside_closure(self):
         for t in triples(8):
             for n in range(1, 8):
-                ideal = closure_of_m_power(t, n)
+                ideal = closure_of_m_power(t.pair, n)
                 assert ideal.thresholds[0] <= n
                 for k in range(t.a):
                     # generator x^k * Q^{max(n - n_k, 0)} is admitted
-                    e = max(n - t.n_seq[k], 0)
+                    e = max(n - t.pair.n_seq[k], 0)
                     assert contains(ideal, Monomial(k, e, 0))

@@ -108,9 +108,9 @@ def test_membership_suite_builds_each_staircase_once_per_pair(monkeypatch):
     exact = ring.closure_of_m_power
     calls = Counter()
 
-    def counted(t, n):
-        calls[t.a, t.b, n] += 1
-        return exact(t, n)
+    def counted(p, n):
+        calls[p.a, p.b, n] += 1
+        return exact(p, n)
 
     monkeypatch.setattr(ring, "closure_of_m_power", counted)
     assert all(result.passed for result in run_all(8))
