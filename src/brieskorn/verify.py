@@ -1,30 +1,19 @@
 """Formula-vs-oracle verification suites, run in one walk over a triple range.
 
 The walk visits each pair 2 <= a <= b <= bound, then each triple (a, b, c)
-with b <= c <= bound.  Each suite is a pair check, a triple check, or both.
-A pair check compares the c-free data of ring.BrieskornPair with its oracles,
-once per pair, and hands what it returns to the suite's triple checks: the
-membership pair check runs the socle lemma on the staircases closure(m^n) and
-compares their thresholds with the a-th-power expansion of (a, b, b), and its
-triple check compares each triple's expansion degrees, the one side that reads
-c, with that triple's.  The four staircase pair checks (the nr scan, the
-colength drops, the membership thresholds and the Hilbert fit) index the pair's
-one ladder ring.BrieskornPair.staircases, so each closure(m^n) is built once per
-pair.  Each triple gets one p_g and one invariants record built from it, each
-on first use, for every suite that reads it; the q(m) formula reads that p_g.
-The record's adjunction p_f and both graph suites read the star the triple
-keeps and the Z that star keeps (resolution.dual_graph, fundamental_cycle), and
-no suite expands the star.  The fundamental-genus suite hands that Z to
-Laufer's sequence, run on the star from a proved lower bound that never reads
-Z, as its step bound, and to the adjunction p_f and Z^2.  run_all walks once
-with all nine suites; each suite_* walks with its own alone.
+with b <= c <= bound, and yields one row per pair: each suite's checks and
+failures on that pair and its triples.  A pair check compares the c-free data
+of ring.BrieskornPair with its oracles, once per pair, and hands what it
+returns to the suite's triple checks.  Each triple builds its p_g, record,
+star and Z at most once, for every suite that reads them; nothing that fails
+to build is kept, so it fails once in each reader.  An InternalCheckError is
+recorded as a failure and ends that suite's checks of the triple, or of the
+pair and its triples, so a suite never reports more failures than checks.
 
-An InternalCheckError is recorded as a failure of its pair or triple, so the
-suite still reports.  Builds are deterministic and nothing that fails is kept,
-so a p_g, record, star or Z that fails to build raises again, and fails once,
-in each suite that reads it.  Each counted check records at most one failure,
-and an error ends the suite's checks of that triple, or of that pair and its
-triples, so a suite never reports more failures than checks.  This is the
+No state crosses from one pair to the next, so run_all(bound, jobs) deals the
+pairs round-robin to forked workers and adds the rows up in walk order: the
+results, and the first exception in walk order, are those of the walk in
+process.  Each suite_* walks in process with its suite alone.  This is the
 engine behind `brieskorn verify`.
 """
 
@@ -244,29 +233,65 @@ _SUITES = {
 }
 
 
-def _walk(bound: int, names) -> list[SuiteResult]:
+def _walk(pairs, bound: int, names):
+    """One row per pair (a, b), c running from b to bound: the checks of each suite
+    named, then its failures, on that pair and its triples."""
+    checks = [_SUITES[name] for name in names]
+    for a, b in pairs:
+        results = [SuiteResult(name) for name in names]
+        p = ring.BrieskornPair(a, b)
+        handed = [
+            pair_check and _recorded(result, p, pair_check)
+            for result, (pair_check, _) in zip(results, checks)
+        ]
+        for c in range(b, bound + 1):
+            t = p.triple(c)
+            shared = partial(_shared, t, {})  # no closure, so no cycle to outlive t
+            for result, (_, triple_check), data in zip(results, checks, handed):
+                if triple_check and data is not _FAILED:
+                    _recorded(result, t, triple_check, shared, data)
+        yield tuple(r.checks for r in results), tuple(r.failures for r in results)
+
+
+def _slab(bound: int, names, pairs) -> list:
+    """A worker's rows over its pairs; from the pair that raised on, the exception."""
+    rows = []
+    try:
+        rows.extend(_walk(pairs, bound, names))
+    except Exception as exc:
+        rows += [exc] * (len(pairs) - len(rows))
+    return rows
+
+
+def _run(bound: int, names, jobs: int = 1) -> list[SuiteResult]:
+    """Every suite named, summed over the rows of the walk up to bound in walk order."""
     if bound < 2:
         raise ValueError(f"bound must be at least 2, got {bound}")
+    pairs = [(a, b) for a in range(2, bound + 1) for b in range(a, bound + 1)]
+    if jobs == 1:
+        rows = _walk(pairs, bound, names)
+    else:
+        import multiprocessing
+
+        # fork, named since 3.14 defaults to forkserver: workers inherit the package,
+        # and the pool forks them before it starts its own threads
+        with multiprocessing.get_context("fork").Pool(jobs) as pool:
+            parts = pool.map(partial(_slab, bound, names), [pairs[i::jobs] for i in range(jobs)])
+            pool.close()
+            pool.join()
+        rows = [parts[i % jobs][i // jobs] for i in range(len(pairs))]  # pair i, in walk order
     results = [SuiteResult(name) for name in names]
-    checks = [_SUITES[name] for name in names]
-    for a in range(2, bound + 1):
-        for b in range(a, bound + 1):
-            p = ring.BrieskornPair(a, b)
-            handed = [
-                pair_check and _recorded(result, p, pair_check)
-                for result, (pair_check, _) in zip(results, checks)
-            ]
-            for c in range(b, bound + 1):
-                t = p.triple(c)
-                shared = partial(_shared, t, {})  # no closure, so no cycle to outlive t
-                for result, (_, triple_check), data in zip(results, checks, handed):
-                    if triple_check and data is not _FAILED:
-                        _recorded(result, t, triple_check, shared, data)
+    for row in rows:
+        if isinstance(row, Exception):
+            raise row  # the first exception in walk order
+        for result, checks, failures in zip(results, *row):
+            result.checks += checks
+            result.failures += failures
     return results
 
 
 def _alone(name: str, bound: int) -> SuiteResult:
-    return _walk(bound, [name])[0]
+    return _run(bound, [name])[0]
 
 
 suite_nr_formula = partial(_alone, "nr-formula-vs-staircase")
@@ -280,6 +305,6 @@ suite_certificates = partial(_alone, "nr3-certificates")
 suite_pg_bound = partial(_alone, "pg-lower-bound")
 
 
-def run_all(bound: int) -> list[SuiteResult]:
-    """Every suite in one walk up to bound."""
-    return _walk(bound, _SUITES)
+def run_all(bound: int, jobs: int = 1) -> list[SuiteResult]:
+    """Every suite in one walk up to bound, over jobs forked workers if jobs > 1."""
+    return _run(bound, list(_SUITES), jobs)

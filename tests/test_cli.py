@@ -1,12 +1,19 @@
 import hashlib
 import io
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from collections import Counter
+from multiprocessing.pool import ThreadPool
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from brieskorn import cli, filtration, genus, resolution
+import brieskorn
+from brieskorn import cli, filtration, genus, resolution, verify
 from brieskorn.cli import build_parser, main
 from brieskorn.errors import InternalCheckError
 
@@ -100,6 +107,109 @@ class TestVerify:
     def test_bad_bound_exits_2(self, capsys):
         assert main(["verify", "1"]) == 2
         assert capsys.readouterr().err == "brieskorn: bound must be at least 2, got 1\n"
+
+
+def usable_cores(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def no_pool(method):
+    raise AssertionError("a process pool was asked for")
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this checkout's brieskorn, through pipes."""
+    src = str(Path(brieskorn.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
+class TestVerifyWorkers:
+    """verify forks one worker per usable core, at most one per pair, and no more."""
+
+    def test_a_bad_bound_is_refused_before_any_pool(self, monkeypatch, capsys):
+        usable_cores(monkeypatch, 2)
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        assert main(["verify", "1"]) == 2
+        assert capsys.readouterr().err == "brieskorn: bound must be at least 2, got 1\n"
+        with pytest.raises(ValueError, match="^bound must be at least 2, got 1$"):
+            verify.run_all(1, jobs=2)
+
+    def test_one_usable_core_walks_in_process(self, monkeypatch, capsys):
+        usable_cores(monkeypatch, 2)
+        forked = run_cli(["verify", "8"])[1]
+        usable_cores(monkeypatch, 1)
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        assert main(["verify", "8"]) == 0
+        assert capsys.readouterr().out == forked
+
+    def test_a_value_error_in_a_worker_exits_2_with_the_same_line(self, monkeypatch, capsys):
+        exact = filtration.nr_by_staircase_oracle
+
+        def refused(p):
+            if (p.a, p.b) == (3, 5):
+                raise ValueError(f"{p}: injected")
+            return exact(p)
+
+        monkeypatch.setattr(filtration, "nr_by_staircase_oracle", refused)
+        outcomes = []
+        for cores in (1, 2):
+            usable_cores(monkeypatch, cores)
+            outcomes.append((main(["verify", "8"]), capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        code, captured = outcomes[0]
+        assert code == 2 and captured.out == ""
+        assert captured.err == "brieskorn: BrieskornPair(a=3, b=5): injected\n"
+
+    def test_no_worker_outlives_the_command(self, monkeypatch, capsys):
+        usable_cores(monkeypatch, 2)
+        assert main(["verify", "8"]) == 0
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cores, bound, jobs", [(1000, 3, 3), (3, 8, 3), (2, 2, 1), (1, 8, 1)])
+    def test_never_more_workers_than_cores_or_pairs(self, monkeypatch, capsys, cores, bound, jobs):
+        expected = run_cli(["verify", str(bound)])[1]
+        sizes, methods = [], []
+        usable_cores(monkeypatch, cores)
+        # threads in place of the forked workers: the pool's size is recorded, and
+        # no process is started however many cores are patched in
+        threads = SimpleNamespace(Pool=lambda n: sizes.append(n) or ThreadPool(n))
+        monkeypatch.setattr(
+            multiprocessing, "get_context", lambda method: methods.append(method) or threads
+        )
+        assert main(["verify", str(bound)]) == 0
+        assert capsys.readouterr().out == expected
+        assert (sizes, methods) == (([jobs], ["fork"]) if jobs > 1 else ([], []))
+
+    def test_without_an_affinity_call_the_cpu_count_is_used(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for count, jobs in [(None, 1), (1, 1), (4, 4), (64, 28)]:
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+            assert cli._verify_jobs(8) == jobs
+
+    def test_without_fork_the_walk_stays_in_process(self, monkeypatch):
+        usable_cores(monkeypatch, 4)
+        assert cli._verify_jobs(8) == (4 if "fork" in multiprocessing.get_all_start_methods() else 1)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert cli._verify_jobs(8) == 1
+
+    def test_importing_the_cli_imports_no_multiprocessing(self):
+        probe = "import sys, brieskorn.cli; print([m for m in sys.modules if 'multipro' in m])"
+        assert run_python("-c", probe).stdout == "[]\n"
+
+    def test_a_piped_report_prints_once_and_warns_nothing(self):
+        # python -m brieskorn.cli verify 8 with two usable cores, so two forked
+        # workers, under -W error: no buffer a fork copied is flushed twice, and
+        # no DeprecationWarning about forking is raised
+        forced = (
+            "import os, runpy; os.sched_getaffinity = lambda pid: {0, 1}; "
+            "runpy.run_module('brieskorn.cli', run_name='__main__')"
+        )
+        run = run_python("-W", "error", "-c", forced, "verify", "8")
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout == run_cli(["verify", "8"])[1]
 
 
 class TestParserReuse:
