@@ -137,20 +137,10 @@ def cmd_scan(args, out) -> int:
     return 0
 
 
-def _verify_jobs(bound: int) -> int:
-    """One forked worker per usable core, at most one per pair; 1 without fork."""
+def cmd_verify(args, out) -> int:
     affinity = getattr(os, "sched_getaffinity", None)  # missing on some platforms
     cores = len(affinity(0)) if affinity else os.cpu_count() or 1
-    jobs = min(cores, max(bound - 1, 0) * bound // 2)  # the pairs 2 <= a <= b <= bound
-    if jobs < 2:
-        return 1
-    import multiprocessing
-
-    return jobs if "fork" in multiprocessing.get_all_start_methods() else 1
-
-
-def cmd_verify(args, out) -> int:
-    results = verify.run_all(args.max, _verify_jobs(args.max))
+    results = verify.run_all(args.max, cores)
     failed = False
     for suite in results:
         if suite.passed:

@@ -1,20 +1,20 @@
 """Formula-vs-oracle verification suites, run in one walk over a triple range.
 
-The walk visits each pair 2 <= a <= b <= bound, then each triple (a, b, c)
-with b <= c <= bound, and yields one row per pair: each suite's checks and
-failures on that pair and its triples.  A pair check compares the c-free data
-of ring.BrieskornPair with its oracles, once per pair, and hands what it
-returns to the suite's triple checks.  Each triple builds its p_g, record,
-star and Z at most once, for every suite that reads them; nothing that fails
-to build is kept, so it fails once in each reader.  An InternalCheckError is
-recorded as a failure and ends that suite's checks of the triple, or of the
-pair and its triples, so a suite never reports more failures than checks.
+The walk visits each pair 2 <= a <= b <= bound, and _row computes that pair's
+row: each suite's checks and failures on the pair and on each triple (a, b, c)
+with b <= c <= bound.  A pair check compares the c-free data of
+ring.BrieskornPair with its oracles, once per pair, and hands what it returns
+to the suite's triple checks.  Each triple builds its p_g, record, star and Z
+at most once, for every suite that reads them; nothing that fails to build is
+kept, so it fails once in each reader.  An InternalCheckError is recorded as a
+failure and ends that suite's checks of the triple, or of the pair and its
+triples, so a suite never reports more failures than checks.
 
-No state crosses from one pair to the next, so run_all(bound, jobs) deals the
-pairs round-robin to forked workers and adds the rows up in walk order: the
-results, and the first exception in walk order, are those of the walk in
-process.  Each suite_* walks in process with its suite alone.  This is the
-engine behind `brieskorn verify`.
+No state crosses from one pair to the next, so run_all(bound, jobs) maps _row
+over the pairs in walk order, with map in process or Pool.imap on forked
+workers, and adds the rows up: both yield the rows, and raise the first
+exception, in walk order.  Each suite_* walks in process with its suite alone.
+This is the engine behind `brieskorn verify`.
 """
 
 from __future__ import annotations
@@ -233,61 +233,58 @@ _SUITES = {
 }
 
 
-def _walk(pairs, bound: int, names):
-    """One row per pair (a, b), c running from b to bound: the checks of each suite
-    named, then its failures, on that pair and its triples."""
+def _row(bound: int, names, pair) -> tuple:
+    """Pair (a, b)'s row, c running from b to bound: the checks of each suite named,
+    then its failures, on that pair and its triples."""
+    results = [SuiteResult(name) for name in names]
     checks = [_SUITES[name] for name in names]
-    for a, b in pairs:
-        results = [SuiteResult(name) for name in names]
-        p = ring.BrieskornPair(a, b)
-        handed = [
-            pair_check and _recorded(result, p, pair_check)
-            for result, (pair_check, _) in zip(results, checks)
-        ]
-        for c in range(b, bound + 1):
-            t = p.triple(c)
-            shared = partial(_shared, t, {})  # no closure, so no cycle to outlive t
-            for result, (_, triple_check), data in zip(results, checks, handed):
-                if triple_check and data is not _FAILED:
-                    _recorded(result, t, triple_check, shared, data)
-        yield tuple(r.checks for r in results), tuple(r.failures for r in results)
+    p = ring.BrieskornPair(*pair)
+    handed = [
+        pair_check and _recorded(result, p, pair_check)
+        for result, (pair_check, _) in zip(results, checks)
+    ]
+    for c in range(p.b, bound + 1):
+        t = p.triple(c)
+        shared = partial(_shared, t, {})  # no closure, so no cycle to outlive t
+        for result, (_, triple_check), data in zip(results, checks, handed):
+            if triple_check and data is not _FAILED:
+                _recorded(result, t, triple_check, shared, data)
+    return tuple(r.checks for r in results), tuple(r.failures for r in results)
 
 
-def _slab(bound: int, names, pairs) -> list:
-    """A worker's rows over its pairs; from the pair that raised on, the exception."""
-    rows = []
-    try:
-        rows.extend(_walk(pairs, bound, names))
-    except Exception as exc:
-        rows += [exc] * (len(pairs) - len(rows))
-    return rows
-
-
-def _run(bound: int, names, jobs: int = 1) -> list[SuiteResult]:
-    """Every suite named, summed over the rows of the walk up to bound in walk order."""
-    if bound < 2:
-        raise ValueError(f"bound must be at least 2, got {bound}")
-    pairs = [(a, b) for a in range(2, bound + 1) for b in range(a, bound + 1)]
-    if jobs == 1:
-        rows = _walk(pairs, bound, names)
-    else:
-        import multiprocessing
-
-        # fork, named since 3.14 defaults to forkserver: workers inherit the package,
-        # and the pool forks them before it starts its own threads
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            parts = pool.map(partial(_slab, bound, names), [pairs[i::jobs] for i in range(jobs)])
-            pool.close()
-            pool.join()
-        rows = [parts[i % jobs][i // jobs] for i in range(len(pairs))]  # pair i, in walk order
+def _summed(names, rows) -> list[SuiteResult]:
+    """Each suite named, its rows added up in the order they come."""
     results = [SuiteResult(name) for name in names]
     for row in rows:
-        if isinstance(row, Exception):
-            raise row  # the first exception in walk order
         for result, checks, failures in zip(results, *row):
             result.checks += checks
             result.failures += failures
     return results
+
+
+def _run(bound: int, names, jobs: int = 1) -> list[SuiteResult]:
+    """Every suite named, summed over the pairs' rows up to bound in walk order, on
+    at most jobs forked workers; in process where fork is not a start method."""
+    if bound < 2:
+        raise ValueError(f"bound must be at least 2, got {bound}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    pairs = [(a, b) for a in range(2, bound + 1) for b in range(a, bound + 1)]
+    row = partial(_row, bound, names)
+    jobs = min(jobs, len(pairs))
+    if jobs > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            # fork, named since 3.14 defaults to forkserver: workers inherit the
+            # package, and the pool forks them before it starts its own threads
+            with multiprocessing.get_context("fork").Pool(jobs) as pool:
+                # rows, and the first exception, in walk order; Pool.map's chunk size
+                results = _summed(names, pool.imap(row, pairs, -(-len(pairs) // (4 * jobs))))
+                pool.close()
+                pool.join()
+            return results
+    return _summed(names, map(row, pairs))
 
 
 def _alone(name: str, bound: int) -> SuiteResult:
@@ -306,5 +303,5 @@ suite_pg_bound = partial(_alone, "pg-lower-bound")
 
 
 def run_all(bound: int, jobs: int = 1) -> list[SuiteResult]:
-    """Every suite in one walk up to bound, over jobs forked workers if jobs > 1."""
+    """Every suite in one walk up to bound, on at most jobs forked workers."""
     return _run(bound, list(_SUITES), jobs)

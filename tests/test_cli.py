@@ -117,6 +117,19 @@ def no_pool(method):
     raise AssertionError("a process pool was asked for")
 
 
+def thread_pools(monkeypatch) -> list[int]:
+    """Threads in place of forked workers, from the fork context only: the list of the
+    pools' sizes, so no process is started however many cores are patched in."""
+    sizes = []
+
+    def context(method):
+        assert method == "fork"
+        return SimpleNamespace(Pool=lambda n: sizes.append(n) or ThreadPool(n))
+
+    monkeypatch.setattr(multiprocessing, "get_context", context)
+    return sizes
+
+
 def run_python(*args: str) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports this checkout's brieskorn, through pipes."""
     src = str(Path(brieskorn.__file__).resolve().parent.parent)
@@ -136,6 +149,8 @@ class TestVerifyWorkers:
         assert capsys.readouterr().err == "brieskorn: bound must be at least 2, got 1\n"
         with pytest.raises(ValueError, match="^bound must be at least 2, got 1$"):
             verify.run_all(1, jobs=2)
+        with pytest.raises(ValueError, match="^jobs must be at least 1, got 0$"):
+            verify.run_all(8, jobs=0)
 
     def test_one_usable_core_walks_in_process(self, monkeypatch, capsys):
         usable_cores(monkeypatch, 2)
@@ -171,29 +186,29 @@ class TestVerifyWorkers:
     @pytest.mark.parametrize("cores, bound, jobs", [(1000, 3, 3), (3, 8, 3), (2, 2, 1), (1, 8, 1)])
     def test_never_more_workers_than_cores_or_pairs(self, monkeypatch, capsys, cores, bound, jobs):
         expected = run_cli(["verify", str(bound)])[1]
-        sizes, methods = [], []
         usable_cores(monkeypatch, cores)
-        # threads in place of the forked workers: the pool's size is recorded, and
-        # no process is started however many cores are patched in
-        threads = SimpleNamespace(Pool=lambda n: sizes.append(n) or ThreadPool(n))
-        monkeypatch.setattr(
-            multiprocessing, "get_context", lambda method: methods.append(method) or threads
-        )
+        sizes = thread_pools(monkeypatch)
         assert main(["verify", str(bound)]) == 0
         assert capsys.readouterr().out == expected
-        assert (sizes, methods) == (([jobs], ["fork"]) if jobs > 1 else ([], []))
+        assert sizes == ([jobs] if jobs > 1 else [])
 
     def test_without_an_affinity_call_the_cpu_count_is_used(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        for count, jobs in [(None, 1), (1, 1), (4, 4), (64, 28)]:
+        sizes = thread_pools(monkeypatch)
+        for count, jobs in [(None, 1), (1, 1), (4, 4), (64, 28)]:  # 28 pairs at bound 8
             monkeypatch.setattr(os, "cpu_count", lambda: count)
-            assert cli._verify_jobs(8) == jobs
+            sizes.clear()
+            assert main(["verify", "8"]) == 0
+            assert sizes == ([jobs] if jobs > 1 else [])
 
     def test_without_fork_the_walk_stays_in_process(self, monkeypatch):
-        usable_cores(monkeypatch, 4)
-        assert cli._verify_jobs(8) == (4 if "fork" in multiprocessing.get_all_start_methods() else 1)
+        in_process = verify.run_all(8)
+        sizes = thread_pools(monkeypatch)
+        assert verify.run_all(8, jobs=4) == in_process
+        assert sizes == ([4] if "fork" in multiprocessing.get_all_start_methods() else [])
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        assert cli._verify_jobs(8) == 1
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        assert verify.run_all(8, jobs=4) == in_process
 
     def test_importing_the_cli_imports_no_multiprocessing(self):
         probe = "import sys, brieskorn.cli; print([m for m in sys.modules if 'multipro' in m])"
