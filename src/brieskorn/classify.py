@@ -13,7 +13,7 @@ nr(J) >= 3 certificate families, read by verify as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from . import filtration, genus, resolution
@@ -21,20 +21,22 @@ from .errors import InternalCheckError
 from .ring import BrieskornTriple
 
 
-@dataclass(frozen=True)
-class Invariants:
-    """p_g, p_f and q(n*m) of one triple, and what they decide with t.pair.nr."""
+class Invariants(
+    namedtuple(
+        "Invariants",
+        "pg pf q rational elliptic boundary rees_normal pg_ideal_m nr_A pg_bound_holds",
+    )
+):
+    """p_g, p_f and q(n*m) of one triple, and what they decide with t.pair.nr.
 
-    pg: int
-    pf: int
-    q: tuple[int, ...]  # q(n*m) for n = 0..nr(m)+1
-    rational: bool  # p_g = 0
-    elliptic: bool  # p_f = 1, agreeing with the elliptic list
-    boundary: bool  # p_g = C(nr(m), 2), agreeing with the boundary list
-    rees_normal: bool  # br(m) = a - 1
-    pg_ideal_m: bool  # a = 2 and br(m) = 1, i.e. b in {2, 3}
-    nr_A: tuple[str, int]  # ("exact", nr) or ("lower_bound", nr)
-    pg_bound_holds: bool  # p_g >= C(nr(m), 2) + q(nr(m) * m)
+    q holds q(n*m) for n = 0..nr(m)+1.  rational: p_g = 0.  elliptic: p_f = 1,
+    agreeing with the elliptic list.  boundary: p_g = C(nr(m), 2), agreeing with
+    the boundary list.  rees_normal: br(m) = a - 1.  pg_ideal_m: a = 2 and
+    br(m) = 1, i.e. b in {2, 3}.  nr_A: ("exact", nr) or ("lower_bound", nr).
+    pg_bound_holds: p_g >= C(nr(m), 2) + q(nr(m) * m).
+    """
+
+    __slots__ = ()
 
 
 def in_elliptic_list(t: BrieskornTriple) -> bool:

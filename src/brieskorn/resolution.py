@@ -29,7 +29,7 @@ closed forms for p_f and -Z^2 read only gcds of (a, b, c), not the record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
@@ -39,21 +39,20 @@ from .numtheory import hj_expand, mod_inverse_negation
 from .ring import BrieskornTriple
 
 
-@dataclass(frozen=True)
-class SeifertData:
-    """Numerical data of the star-shaped resolution graph (one field per symbol)."""
+class SeifertData(
+    namedtuple("SeifertData", "alpha lam beta ghat ghat_total genus center_weight")
+):
+    """Numerical data of the star-shaped resolution graph (one field per symbol).
 
-    alpha: tuple[int, int, int]
-    lam: tuple[int, int, int]
-    beta: tuple[int, int, int]
-    ghat: tuple[int, int, int]  # pairwise gcds: (b,c), (a,c), (a,b)
-    ghat_total: int  # abc / lcm(a,b,c)
-    genus: int  # genus of the central curve
-    center_weight: int  # c_0; central self-intersection is -c_0
+    alpha, lam and beta are triples; ghat holds the pairwise gcds (b,c), (a,c),
+    (a,b); ghat_total = abc / lcm(a,b,c); genus is the central curve's, and
+    center_weight is c_0, the central self-intersection being -c_0.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DualGraph:
+class DualGraph(namedtuple("DualGraph", "center branches")):
     """The star: center (self_intersection, genus) and one (w, chain, copies) per branch.
 
     chain lists the self-intersections of one copy of branch w's chain, center
@@ -64,9 +63,6 @@ class DualGraph:
     positions ascending (position 0 attaches to the center); to_json_dict and
     to_dot walk the branches in the same order.
     """
-
-    center: tuple[int, int]
-    branches: tuple[tuple[int, tuple[int, ...], int], ...]
 
     @cached_property
     def chain_kinds(self) -> tuple[tuple, int, int] | None:
@@ -114,8 +110,7 @@ class DualGraph:
         return tuple(map(tuple, neighbors))
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(namedtuple("Cycle", "center branches")):
     """A cycle on the star: the center coefficient and one (part, copies) per branch.
 
     branches matches DualGraph.branches entry by entry: part lists the
@@ -123,9 +118,6 @@ class Cycle:
     copy carries them.  coefficients expands the cycle on first read, in
     DualGraph.vertices order.
     """
-
-    center: int
-    branches: tuple[tuple[tuple[int, ...], int], ...]
 
     @cached_property
     def coefficients(self) -> tuple[int, ...]:

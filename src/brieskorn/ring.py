@@ -24,25 +24,22 @@ Triples read the pair as t.pair, so verify checks it once per pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from math import comb
 
 from .errors import InternalCheckError
 
 
-@dataclass(frozen=True)
-class BrieskornPair:
+class BrieskornPair(namedtuple("BrieskornPair", "a b")):
     """Validated exponents (a, b) with 2 <= a <= b: the part of a triple without c."""
 
-    a: int
-    b: int
-
-    def __post_init__(self) -> None:
-        if self.a < 2:
-            raise ValueError(f"need a >= 2, got a={self.a}")
-        if self.b < self.a:
-            raise ValueError(f"need a <= b, got ({self.a}, {self.b})")
+    def __new__(cls, a: int, b: int):
+        if a < 2:
+            raise ValueError(f"need a >= 2, got a={a}")
+        if b < a:
+            raise ValueError(f"need a <= b, got ({a}, {b})")
+        return super().__new__(cls, a, b)
 
     def triple(self, c: int) -> BrieskornTriple:
         """The triple (a, b, c), reading this pair's data instead of a copy of it."""
@@ -94,19 +91,15 @@ class BrieskornPair:
         return tuple(closure_of_m_power(self, n) for n in range(self.nr + max(self.a, 3) + 2))
 
 
-@dataclass(frozen=True)
-class BrieskornTriple:
+class BrieskornTriple(namedtuple("BrieskornTriple", "a b c")):
     """Validated exponent triple (a, b, c) with 2 <= a <= b <= c."""
 
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self) -> None:
-        if self.a < 2:
-            raise ValueError(f"need a >= 2, got a={self.a}")
-        if not self.a <= self.b <= self.c:
-            raise ValueError(f"need a <= b <= c, got ({self.a}, {self.b}, {self.c})")
+    def __new__(cls, a: int, b: int, c: int):
+        if a < 2:
+            raise ValueError(f"need a >= 2, got a={a}")
+        if not a <= b <= c:
+            raise ValueError(f"need a <= b <= c, got ({a}, {b}, {c})")
+        return super().__new__(cls, a, b, c)
 
     @cached_property
     def pair(self) -> BrieskornPair:
@@ -114,10 +107,10 @@ class BrieskornTriple:
 
     @cached_property
     def expansion_min_degrees(self) -> tuple[int, ...]:
-        """Least (y, z)-degree of a term of (y^b + z^c)^k = (-x^a)^k, k = 0..a-1."""
-        return tuple(
-            min(self.b * s + self.c * (k - s) for s in range(k + 1)) for k in range(self.a)
-        )
+        """Least (y, z)-degree of a term of (y^b + z^c)^k = (-x^a)^k, k = 0..a-1.  The
+        term y^{bs} z^{c(k-s)} has degree b s + c (k - s), linear in s, so the least
+        is at s = k or s = 0: min(b k, c k), in O(a)."""
+        return tuple(min(self.b * k, self.c * k) for k in range(self.a))
 
     @property
     def q0(self) -> int:
@@ -145,30 +138,29 @@ def new_triple(a: int, b: int, c: int) -> BrieskornTriple:
     return BrieskornTriple(a, b, c)
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(namedtuple("Monomial", "k i j")):
     """x^k y^i z^j in the truncated basis (0 <= k <= a-1)."""
 
-    k: int
-    i: int
-    j: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.k < 0 or self.i < 0 or self.j < 0:
+    def __new__(cls, k: int, i: int, j: int):
+        self = super().__new__(cls, k, i, j)
+        if k < 0 or i < 0 or j < 0:
             raise ValueError(f"exponents must be nonnegative, got {self}")
+        return self
 
 
-@dataclass(frozen=True)
-class StaircaseIdeal:
+class StaircaseIdeal(namedtuple("StaircaseIdeal", "thresholds")):
     """An ideal sum_k x^k * Q^{e_k}, Q = (y, z): its thresholds e_k, k = 0..a-1, and
     nothing else, so a = len(thresholds).  e_k = 0 encodes the full level x^k * A."""
 
-    thresholds: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for e in self.thresholds:
+    def __new__(cls, thresholds: tuple[int, ...]):
+        for e in thresholds:
             if e < 0:
                 raise ValueError(f"thresholds must be nonnegative, got {e}")
+        return super().__new__(cls, thresholds)
 
 
 def closure_of_m_power(p: BrieskornPair, n: int) -> StaircaseIdeal:

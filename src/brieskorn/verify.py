@@ -19,7 +19,6 @@ This is the engine behind `brieskorn verify`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from math import comb
 
@@ -27,11 +26,19 @@ from . import classify, filtration, genus, resolution, ring
 from .errors import FormulaInapplicableError, InternalCheckError
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    checks: int = 0
-    failures: list[str] = field(default_factory=list)
+    """One suite's name, its check count and its failure messages, in walk order."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.checks = 0
+        self.failures: list[str] = []
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SuiteResult) and vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return f"SuiteResult(name={self.name!r}, checks={self.checks}, failures={self.failures!r})"
 
     @property
     def passed(self) -> bool:

@@ -44,8 +44,13 @@ class TestInvariants:
         assert data["hilbert"] == {"e0": 2, "e1": 2, "e2": 1}
         assert data["q_sequence"] == [1, 0, 0, 0]
 
-    def test_invalid_triple_exits_2(self):
+    def test_invalid_triple_exits_2(self, capsys):
         assert main(["invariants", "4", "3", "5"]) == 2
+        assert capsys.readouterr() == ("", "brieskorn: need a <= b <= c, got (4, 3, 5)\n")
+
+    def test_an_exponent_below_2_exits_2_with_one_line(self, capsys):
+        assert main(["invariants", "1", "2", "3"]) == 2
+        assert capsys.readouterr() == ("", "brieskorn: need a >= 2, got a=1\n")
 
 
 class TestGraph:
@@ -211,7 +216,12 @@ class TestVerifyWorkers:
         assert verify.run_all(8, jobs=4) == in_process
 
     def test_importing_the_cli_imports_no_multiprocessing(self):
-        probe = "import sys, brieskorn.cli; print([m for m in sys.modules if 'multipro' in m])"
+        # nor dataclasses, which with the inspect it imports costs more than
+        # the rest of the package; records are named tuples
+        probe = (
+            "import sys, brieskorn.cli; print([m for m in sys.modules"
+            " if 'multipro' in m or m in ('dataclasses', 'inspect')])"
+        )
         assert run_python("-c", probe).stdout == "[]\n"
 
     def test_a_piped_report_prints_once_and_warns_nothing(self):

@@ -1,9 +1,10 @@
-from dataclasses import fields
 from itertools import product
 
 import pytest
 from triples import triples
 
+from brieskorn.classify import invariants
+from brieskorn.resolution import dual_graph, fundamental_cycle, seifert_data
 from brieskorn.ring import (
     BrieskornPair,
     Monomial,
@@ -25,6 +26,21 @@ def brute_force_colength(ideal: StaircaseIdeal) -> int:
     return total
 
 
+def test_every_record_is_an_immutable_tuple_of_its_fields():
+    t = new_triple(3, 4, 7)
+    g = dual_graph(t)
+    records = [
+        t, t.pair, Monomial(2, 0, 1), closure_of_m_power(t.pair, 2),
+        seifert_data(t), g, fundamental_cycle(g), invariants(t),
+    ]
+    for record in records:
+        fields = tuple(getattr(record, name) for name in record._fields)
+        assert record == fields
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+
 class TestTriple:
     def test_347_constants(self):
         t = new_triple(3, 4, 7)
@@ -38,10 +54,17 @@ class TestTriple:
         assert t.pair.n_seq == (0, 1)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^need a <= b <= c, got \(4, 3, 5\)$"):
             new_triple(4, 3, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need a >= 2, got a=1$"):
             new_triple(1, 2, 3)
+
+    def test_expansion_degrees_are_the_least_term_degree(self):
+        # the O(a^2) minimum over every term y^{bs} z^{c(k-s)} of (y^b + z^c)^k
+        for t in triples(40):
+            assert t.expansion_min_degrees == tuple(
+                min(t.b * s + t.c * (k - s) for s in range(k + 1)) for k in range(t.a)
+            )
 
     def test_n_seq_strictly_increasing_from_one(self):
         for t in triples(15):
@@ -53,7 +76,7 @@ class TestTriple:
 
 class TestPair:
     def test_has_no_c(self):
-        assert tuple(f.name for f in fields(BrieskornPair)) == ("a", "b")
+        assert BrieskornPair._fields == ("a", "b")
 
     def test_triples_of_one_pair_share_its_data(self):
         pair = BrieskornPair(4, 6)
@@ -69,6 +92,8 @@ class TestPair:
             BrieskornPair(1, 3)
         with pytest.raises(ValueError):
             BrieskornPair(4, 3)
+        with pytest.raises(ValueError, match=r"^need a <= b, got \(3, 2\)$"):
+            BrieskornPair(3, 2)
 
 
 class TestClosure:
@@ -92,9 +117,15 @@ class TestClosure:
         assert contains(closure_of_m_power(new_triple(3, 4, 8).pair, 3), Monomial(2, 0, 1))
 
     def test_an_ideal_is_its_thresholds(self):
-        assert tuple(f.name for f in fields(StaircaseIdeal)) == ("thresholds",)
+        assert StaircaseIdeal._fields == ("thresholds",)
         with pytest.raises(ValueError, match="nonnegative"):
             StaircaseIdeal((1, -1))
+
+    def test_a_monomial_has_nonnegative_exponents(self):
+        with pytest.raises(
+            ValueError, match=r"^exponents must be nonnegative, got Monomial\(k=0, i=-1, j=0\)$"
+        ):
+            Monomial(0, -1, 0)
 
     def test_membership_rejects_a_level_past_a_minus_1(self):
         t = new_triple(3, 4, 7)
