@@ -79,16 +79,15 @@ def boundary_family_nr(t: BrieskornTriple) -> int | None:
 
 
 def invariants(t: BrieskornTriple) -> Invariants:
-    """The record of t, from p_g by the lattice count."""
-    return invariants_from_pg(t, genus.geometric_genus(t))
-
-
-def invariants_from_pg(t: BrieskornTriple, pg: int) -> Invariants:
-    """Compute q(n*m) and p_f once each from p_g; check both classification paths.
+    """The record of t, kept by t once built: q(n*m) and p_f, once each from the
+    lattice count p_g, and both classification paths checked.
 
     nr(A) = nr(m) exactly when p_g < C(nr+1, 2), which covers every member of
     the boundary list: there p_g = C(nr, 2) and, as checked here, nr(A) = nr.
     """
+    if "invariants" in t.__dict__:
+        return t.__dict__["invariants"]
+    pg = genus.geometric_genus(t)
     q = filtration.q_sequence(t, pg)
     pf = resolution.fundamental_genus(t)
     nr = t.pair.nr
@@ -105,7 +104,7 @@ def invariants_from_pg(t: BrieskornTriple, pg: int) -> Invariants:
             f"{t}: p_g count says boundary {boundary} at nr(m) = {nr}, boundary list says {family}"
         )
 
-    return Invariants(
+    t.__dict__["invariants"] = record = Invariants(
         pg=pg,
         pf=pf,
         q=q,
@@ -117,6 +116,7 @@ def invariants_from_pg(t: BrieskornTriple, pg: int) -> Invariants:
         nr_A=("exact" if pg < comb(nr + 1, 2) else "lower_bound", nr),
         pg_bound_holds=pg >= comb(nr, 2) + q[nr],
     )
+    return record
 
 
 # the br = 2 families with an nr(J) >= 3 certificate: (a, b) -> least c

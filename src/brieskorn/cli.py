@@ -1,17 +1,16 @@
 """Command-line interface: per-triple reports, graph export, scans, verification.
 
 Exit codes: 0 success, 1 verification failure (a failed verify suite or a
-failed internal self-consistency check), 2 usage error; main reports either
-error in one line on stderr.  All numeric output is exact (integers); JSON is
-emitted with sorted keys so that parsing and re-emitting is byte-identical.
-Scan rows are read straight from classify.invariants, in SCAN_COLUMNS order.
+failed internal self-consistency check), 2 usage error, 130 interrupted
+(Ctrl-C); main reports each failure in one line on stderr.  All numeric output
+is exact (integers); JSON is emitted with sorted keys so that parsing and
+re-emitting is byte-identical.  Scan rows are read straight from
+classify.invariants, in SCAN_COLUMNS order; no CSV cell needs quoting.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -127,13 +126,9 @@ def cmd_scan(args, out) -> int:
     rows = _scan_rows(args)
     if args.format == "json":
         out.write(_dump_json([dict(zip(SCAN_COLUMNS, row)) for row in rows]))
-    else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\r\n")
-        writer.writerow(SCAN_COLUMNS)
-        for row in rows:
-            writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in row])
-        out.write(buffer.getvalue())
+    else:  # only True and False hold a capital, and print as true and false
+        lines = [",".join(SCAN_COLUMNS), *(",".join(map(str, row)).lower() for row in rows)]
+        out.write("\r\n".join(lines) + "\r\n")
     return 0
 
 
@@ -215,6 +210,9 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"brieskorn: internal check failed: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("brieskorn: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

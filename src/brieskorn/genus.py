@@ -19,28 +19,27 @@ from .ring import BrieskornPair, BrieskornTriple
 
 
 def geometric_genus(t: BrieskornTriple) -> int:
-    """Exact count of lattice points in the weighted simplex; 0 if a(B) < 0."""
+    """Exact count of lattice points in the weighted simplex, 0 if a(B) < 0; kept by t."""
+    if "geometric_genus" in t.__dict__:
+        return t.__dict__["geometric_genus"]
     bound = t.a_invariant
-    if bound < 0:
-        return 0
     q0, q1, q2 = t.q0, t.q1, t.q2
     total = 0
-    for t0 in range(bound // q0 + 1):
+    for t0 in range(bound // q0 + 1):  # empty if bound < 0
         r0 = bound - q0 * t0
         # sum over t1 < n1 of floor((r0 - q1*t1)/q2) + 1, with t1 -> n1 - 1 - t1
         n1 = r0 // q1 + 1
         total += floor_sum(n1, q2, q1, r0 % q1) + n1
+    t.__dict__["geometric_genus"] = total
     return total
 
 
 def geometric_genus_oracle(t: BrieskornTriple) -> int:
     """The same count by a direct loop over t0 and t1, in O(a*b)."""
     bound = t.a_invariant
-    if bound < 0:
-        return 0
     q0, q1, q2 = t.q0, t.q1, t.q2
     total = 0
-    for t0 in range(bound // q0 + 1):
+    for t0 in range(bound // q0 + 1):  # empty if bound < 0
         r0 = bound - q0 * t0
         for t1 in range(r0 // q1 + 1):
             total += (r0 - q1 * t1) // q2 + 1

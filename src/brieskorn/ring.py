@@ -163,6 +163,11 @@ class StaircaseIdeal(namedtuple("StaircaseIdeal", "thresholds")):
         return super().__new__(cls, thresholds)
 
 
+# namedtuple's _make, which _replace calls, skips __new__: build through its checks
+_make = classmethod(lambda cls, fields: cls(*fields))
+BrieskornPair._make = BrieskornTriple._make = Monomial._make = StaircaseIdeal._make = _make
+
+
 def closure_of_m_power(p: BrieskornPair, n: int) -> StaircaseIdeal:
     """Integral closure of m^n: thresholds e_k = max(n - n_k, 0).
 

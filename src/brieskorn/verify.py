@@ -4,11 +4,11 @@ The walk visits each pair 2 <= a <= b <= bound, and _row computes that pair's
 row: each suite's checks and failures on the pair and on each triple (a, b, c)
 with b <= c <= bound.  A pair check compares the c-free data of
 ring.BrieskornPair with its oracles, once per pair, and hands what it returns
-to the suite's triple checks.  Each triple builds its p_g, record, star and Z
-at most once, for every suite that reads them; nothing that fails to build is
-kept, so it fails once in each reader.  An InternalCheckError is recorded as a
-failure and ends that suite's checks of the triple, or of the pair and its
-triples, so a suite never reports more failures than checks.
+to the suite's triple checks.  A triple keeps its p_g, record and star, and a
+star its Z, each built at most once for every suite; nothing that fails to
+build is kept, so it fails once in each reader.  An InternalCheckError is
+recorded as a failure and ends that suite's checks of the triple, or of the
+pair and its triples, so a suite never reports more failures than checks.
 
 No state crosses from one pair to the next, so run_all(bound, jobs) maps _row
 over the pairs in walk order, with map in process or Pool.imap on forked
@@ -58,16 +58,6 @@ def _recorded(result: SuiteResult, subject, check, *args):
         return _FAILED
 
 
-def _shared(t: ring.BrieskornTriple, built: dict, name: str):
-    """t's "pg" or "record" (built from that p_g), built once into built."""
-    if name not in built:
-        if name == "pg":
-            built[name] = genus.geometric_genus(t)
-        else:
-            built[name] = classify.invariants_from_pg(t, _shared(t, built, "pg"))
-    return built[name]
-
-
 def _nr_formula(p: ring.BrieskornPair, result: SuiteResult) -> None:
     """nr(m) closed form vs the staircase scan (which also certifies br = nr)."""
     result.checks += 1
@@ -101,7 +91,7 @@ def _membership_pair(p: ring.BrieskornPair, result: SuiteResult) -> tuple[int, .
     return least.expansion_min_degrees
 
 
-def _membership(t: ring.BrieskornTriple, result: SuiteResult, shared, degrees) -> None:
+def _membership(t: ring.BrieskornTriple, result: SuiteResult, degrees) -> None:
     """The expansion degrees, the one side that reads c, vs those of (a, b, b)."""
     result.checks += 1
     if t.expansion_min_degrees != degrees:
@@ -119,13 +109,13 @@ def _q_pair(p: ring.BrieskornPair, result: SuiteResult) -> tuple[list[int], int]
     return [filtration.drop_sum(p, n) for n in range(p.nr + 2)], genus.q_of_m_tail(p)
 
 
-def _q_triple(t: ring.BrieskornTriple, result: SuiteResult, shared, handed) -> None:
-    """q_1 vs the q(m) formula on the shared p_g, q_n vs p_g - S(n), and the a = 2
+def _q_triple(t: ring.BrieskornTriple, result: SuiteResult, handed) -> None:
+    """q_1 vs the q(m) formula on the triple's p_g, q_n vs p_g - S(n), and the a = 2
     closed form."""
     drop_sums, tail = handed
     result.checks += 1
-    inv = shared("record")
-    pg = shared("pg")
+    inv = classify.invariants(t)
+    pg = genus.geometric_genus(t)
     q_m = pg - tail
     if inv.q[1] != q_m:
         result.failures.append(f"{t}: q_1 = {inv.q[1]} != q(m) formula {q_m}")
@@ -157,7 +147,7 @@ def _hilbert(p: ring.BrieskornPair, result: SuiteResult) -> None:
             result.failures.append(f"{p}: a=2 coefficients {p.hilbert}")
 
 
-def _fundamental_genus(t: ring.BrieskornTriple, result: SuiteResult, shared, _) -> None:
+def _fundamental_genus(t: ring.BrieskornTriple, result: SuiteResult, _) -> None:
     """Closed-form Z vs Laufer's computation sequence, which Z bounds; where the p_f
     formula applies, two more checks on that Z: closed-form p_f vs adjunction, and the
     -Z^2 formula."""
@@ -184,7 +174,7 @@ def _fundamental_genus(t: ring.BrieskornTriple, result: SuiteResult, shared, _) 
         result.failures.append(f"{t}: -Z^2 = {-z2}")
 
 
-def _negative_definite(t: ring.BrieskornTriple, result: SuiteResult, shared, _) -> None:
+def _negative_definite(t: ring.BrieskornTriple, result: SuiteResult, _) -> None:
     """Tip-to-center elimination on the star, once per chain kind; Bareiss is its
     oracle in tests/test_resolution.py."""
     result.checks += 1
@@ -192,37 +182,37 @@ def _negative_definite(t: ring.BrieskornTriple, result: SuiteResult, shared, _) 
         result.failures.append(f"{t}: intersection matrix not negative definite")
 
 
-def _classification(t: ring.BrieskornTriple, result: SuiteResult, shared, _) -> None:
+def _classification(t: ring.BrieskornTriple, result: SuiteResult, _) -> None:
     """Two-path elliptic and boundary classification (the record raises when a pair of
     paths disagrees); elliptic implies nr <= 2."""
     result.checks += 1
-    inv = shared("record")
+    inv = classify.invariants(t)
     if inv.elliptic and t.pair.nr > 2:
         result.failures.append(f"{t}: elliptic but nr(m) > 2")
 
 
-def _certificates(t: ring.BrieskornTriple, result: SuiteResult, shared, _) -> None:
+def _certificates(t: ring.BrieskornTriple, result: SuiteResult, _) -> None:
     """nr(J) >= 3 certificates on the br = 2 families of classify.CERTIFICATE_FAMILIES."""
     if t.c < classify.CERTIFICATE_FAMILIES.get((t.a, t.b), t.c + 1):
         return
     result.checks += 1
     if not classify.verify_nr3_certificate(t):
         result.failures.append(f"{t}: certificate failed")
-    elif shared("record").nr_A[0] != "lower_bound":
+    elif classify.invariants(t).nr_A[0] != "lower_bound":
         result.failures.append(f"{t}: certificate contradicts exact nr(A)")
 
 
-def _pg_bound(t: ring.BrieskornTriple, result: SuiteResult, shared, _) -> None:
+def _pg_bound(t: ring.BrieskornTriple, result: SuiteResult, _) -> None:
     """floor_sum p_g vs the direct lattice loop; only where they agree, a second
     check, read from the record: p_g >= C(nr, 2) + q(nr * m)."""
     result.checks += 1
-    pg = shared("pg")
+    pg = genus.geometric_genus(t)
     oracle = genus.geometric_genus_oracle(t)
     if pg != oracle:
         result.failures.append(f"{t}: p_g = {pg} != lattice loop {oracle}")
         return
     result.checks += 1
-    if not shared("record").pg_bound_holds:
+    if not classify.invariants(t).pg_bound_holds:
         result.failures.append(f"{t}: p_g bound violated")
 
 
@@ -252,10 +242,9 @@ def _row(bound: int, names, pair) -> tuple:
     ]
     for c in range(p.b, bound + 1):
         t = p.triple(c)
-        shared = partial(_shared, t, {})  # no closure, so no cycle to outlive t
         for result, (_, triple_check), data in zip(results, checks, handed):
             if triple_check and data is not _FAILED:
-                _recorded(result, t, triple_check, shared, data)
+                _recorded(result, t, triple_check, data)
     return tuple(r.checks for r in results), tuple(r.failures for r in results)
 
 
@@ -281,15 +270,23 @@ def _run(bound: int, names, jobs: int = 1) -> list[SuiteResult]:
     jobs = min(jobs, len(pairs))
     if jobs > 1:
         import multiprocessing
+        import signal
 
         if "fork" in multiprocessing.get_all_start_methods():
             # fork, named since 3.14 defaults to forkserver: workers inherit the
-            # package, and the pool forks them before it starts its own threads
-            with multiprocessing.get_context("fork").Pool(jobs) as pool:
-                # rows, and the first exception, in walk order; Pool.map's chunk size
-                results = _summed(names, pool.imap(row, pairs, -(-len(pairs) // (4 * jobs))))
-                pool.close()
-                pool.join()
+            # package, and the pool forks them before it starts its own threads.
+            # SIGINT is blocked while it starts: the workers inherit the block, and
+            # Ctrl-C reaches this process only once the with can tear the pool down
+            held = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+            try:
+                with multiprocessing.get_context("fork").Pool(jobs) as pool:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, held)
+                    # rows, and the first exception, in walk order; Pool.map's chunk size
+                    results = _summed(names, pool.imap(row, pairs, -(-len(pairs) // (4 * jobs))))
+                    pool.close()
+                    pool.join()
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, held)
             return results
     return _summed(names, map(row, pairs))
 

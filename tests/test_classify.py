@@ -1,7 +1,9 @@
 import pytest
 from triples import triples
 
+from brieskorn import resolution
 from brieskorn.classify import Invariants, boundary_family_nr, invariants, verify_nr3_certificate
+from brieskorn.errors import InternalCheckError
 from brieskorn.genus import geometric_genus
 from brieskorn.ring import new_triple
 
@@ -10,6 +12,22 @@ def test_record_keeps_only_what_reads_c():
     # nr(m), v_n and the Hilbert coefficients live on t.pair alone
     names = set(Invariants._fields)
     assert "q" in names and not {"seq", "nr", "v", "hilbert"} & names
+
+
+def test_a_triple_keeps_its_p_g_and_its_record_only_once_built(monkeypatch):
+    t = new_triple(3, 4, 7)
+    record = invariants(t)
+    assert invariants(t) is record
+    assert vars(t)["invariants"] is record and vars(t)["geometric_genus"] == record.pg == 3
+
+    # (3, 4, 7) is off the elliptic list, so p_f = 1 there fails the record
+    failing = new_triple(3, 4, 7)
+    exact = resolution.fundamental_genus
+    monkeypatch.setattr(resolution, "fundamental_genus", lambda t: 1 if t is failing else exact(t))
+    for _ in range(2):
+        with pytest.raises(InternalCheckError, match="p_f path says True, elliptic list says"):
+            invariants(failing)
+        assert "invariants" not in vars(failing)
 
 
 class TestRational:

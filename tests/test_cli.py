@@ -1,10 +1,13 @@
+import contextlib
 import hashlib
 import io
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 from multiprocessing.pool import ThreadPool
 from pathlib import Path
@@ -135,13 +138,23 @@ def thread_pools(monkeypatch) -> list[int]:
     return sizes
 
 
+def checkout_env() -> dict:
+    """os.environ, with this checkout's brieskorn on the import path."""
+    return dict(os.environ, PYTHONPATH=str(Path(brieskorn.__file__).resolve().parent.parent))
+
+
 def run_python(*args: str) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports this checkout's brieskorn, through pipes."""
-    src = str(Path(brieskorn.__file__).resolve().parent.parent)
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=src),
+        [sys.executable, *args], capture_output=True, text=True, timeout=120, env=checkout_env()
     )
+
+
+# python -m brieskorn.cli with two usable cores, so verify forks two workers
+TWO_CORES = (
+    "import os, runpy; os.sched_getaffinity = lambda pid: {0, 1}; "
+    "runpy.run_module('brieskorn.cli', run_name='__main__')"
+)
 
 
 class TestVerifyWorkers:
@@ -225,16 +238,76 @@ class TestVerifyWorkers:
         assert run_python("-c", probe).stdout == "[]\n"
 
     def test_a_piped_report_prints_once_and_warns_nothing(self):
-        # python -m brieskorn.cli verify 8 with two usable cores, so two forked
-        # workers, under -W error: no buffer a fork copied is flushed twice, and
-        # no DeprecationWarning about forking is raised
-        forced = (
-            "import os, runpy; os.sched_getaffinity = lambda pid: {0, 1}; "
-            "runpy.run_module('brieskorn.cli', run_name='__main__')"
-        )
-        run = run_python("-W", "error", "-c", forced, "verify", "8")
+        # verify 8 on two forked workers under -W error: no buffer a fork copied
+        # is flushed twice, and no DeprecationWarning about forking is raised
+        run = run_python("-W", "error", "-c", TWO_CORES, "verify", "8")
         assert (run.returncode, run.stderr) == (0, "")
         assert run.stdout == run_cli(["verify", "8"])[1]
+
+
+class TestInterrupt:
+    """Ctrl-C ends any command in one line on stderr and exit 130, never a traceback."""
+
+    def test_an_interrupted_command_exits_130_with_one_line(self, monkeypatch, capsys):
+        def interrupted(bound, jobs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(verify, "run_all", interrupted)
+        try:
+            code = main(["verify", "8"])
+        except KeyboardInterrupt:  # raised here, it would end the whole test session
+            pytest.fail("main let KeyboardInterrupt through")
+        assert code == 130
+        assert capsys.readouterr() == ("", "brieskorn: interrupted\n")
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="verify forks no worker"
+    )
+    def test_the_walk_leaves_sigint_unblocked(self, monkeypatch):
+        # SIGINT is blocked only while the pool starts, and unblocked also when it
+        # fails to start
+        def blocked():
+            return signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+
+        sizes = thread_pools(monkeypatch)
+        assert all(result.passed for result in verify.run_all(8, jobs=2))
+        assert sizes == [2] and not blocked()
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        with pytest.raises(AssertionError, match="a process pool was asked for"):
+            verify.run_all(8, jobs=2)
+        assert not blocked()
+
+    @pytest.mark.skipif(
+        not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists()
+        or "fork" not in multiprocessing.get_all_start_methods(),
+        reason="reads a process's children from /proc, and verify forks its workers",
+    )
+    def test_ctrl_c_on_forked_workers_reports_once_and_leaves_no_process(self):
+        # verify 60 on two forked workers, in a session of its own; once both
+        # workers exist, SIGINT goes to the whole process group, as a terminal's
+        # Ctrl-C does
+        proc = subprocess.Popen(
+            [sys.executable, "-c", TWO_CORES, "verify", "60"], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, env=checkout_env(), start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while len([
+                pid
+                for tasks in Path(f"/proc/{proc.pid}/task").glob("*/children")
+                for pid in tasks.read_text().split()
+            ]) < 2:
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+            with pytest.raises(ProcessLookupError):  # nothing is left in the group
+                os.killpg(proc.pid, 0)
+        finally:  # whatever failed, no process of the group outlives the test
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert (proc.returncode, out, err) == (130, "", "brieskorn: interrupted\n")
 
 
 class TestParserReuse:

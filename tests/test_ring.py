@@ -41,6 +41,23 @@ def test_every_record_is_an_immutable_tuple_of_its_fields():
                 setattr(record, name, None)
 
 
+def test_make_and_replace_check_their_arguments_as_construction_does():
+    t = new_triple(3, 4, 7)
+    refused = [
+        (lambda: t._replace(a=1), "need a >= 2, got a=1"),
+        (lambda: BrieskornPair._make((5, 2)), r"need a <= b, got \(5, 2\)"),
+        (lambda: Monomial._make((0, -1, 0)),
+         r"exponents must be nonnegative, got Monomial\(k=0, i=-1, j=0\)"),
+        (lambda: StaircaseIdeal((1, 2))._replace(thresholds=(-1,)),
+         "thresholds must be nonnegative, got -1"),
+    ]
+    for build, message in refused:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+    replaced = t._replace(c=8)
+    assert type(replaced) is type(t) and replaced == (3, 4, 8)
+
+
 class TestTriple:
     def test_347_constants(self):
         t = new_triple(3, 4, 7)
