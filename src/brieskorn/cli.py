@@ -1,17 +1,19 @@
 """Command-line interface: per-triple reports, graph export, scans, verification.
 
 Exit codes: 0 success, 1 verification failure (a failed verify suite or a
-failed internal self-consistency check), 2 usage error, 130 interrupted
-(Ctrl-C); main reports each failure in one line on stderr.  All numeric output
-is exact (integers); JSON is emitted with sorted keys so that parsing and
-re-emitting is byte-identical.  Scan rows are read straight from
-classify.invariants, in SCAN_COLUMNS order; no CSV cell needs quoting.
+failed internal self-consistency check) or output error (a closed or full
+stdout), 2 usage error, 130 interrupted (Ctrl-C); main reports each failure in
+one line on stderr.  All numeric output is exact (integers).  JSON is written
+by _json, without the json module: the bytes that json.dumps(value,
+sort_keys=True, indent=2) writes, the tests' oracle.  Keys are sorted so that
+parsing and re-emitting is byte-identical, and a value the outputs never hold
+is refused.  Scan rows are read straight from classify.invariants, in
+SCAN_COLUMNS order; no CSV cell needs quoting.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -26,8 +28,39 @@ SCAN_COLUMNS = [
 ]
 
 
+def _safe(s):
+    """s, if it is a str that JSON writes as it is between quotes: printable ASCII
+    with no '"' or '\\'.  Anything else is refused, naming it."""
+    if type(s) is str and s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return s
+    raise InternalCheckError(f"JSON output cannot hold {type(s).__name__} {s!r}")
+
+
+def _json(value, nl: str) -> str:
+    """value as json.dumps(value, sort_keys=True, indent=2) writes it, for the values the
+    JSON outputs hold: dicts with str keys, lists, int, True, False, None and _safe strs.
+    nl is the newline and indent of value's own line; a list of ints is one join."""
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    kind = type(value)
+    if kind is int:
+        return str(value)
+    if (kind is list or kind is dict) and not value:
+        return "[]" if kind is list else "{}"
+    inner = nl + "  "
+    if kind is list:
+        items = (
+            map(str, value) if {*map(type, value)} == {int} else [_json(x, inner) for x in value]
+        )
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if kind is dict:
+        items = [f'"{k}": {_json(value[k], inner)}' for k in sorted(value, key=_safe)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    return f'"{_safe(value)}"'
+
+
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return _json(obj, "\n") + "\n"
 
 
 def _invariants_dict(t: BrieskornTriple) -> dict:
@@ -203,7 +236,16 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()  # so a closed or full stdout fails here, not at exit
+        return code
+    except OSError as exc:
+        print(f"brieskorn: {exc}", file=sys.stderr)
+        # what stdout still buffers would fail again when the interpreter flushes it
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ValueError as exc:
         print(f"brieskorn: {exc}", file=sys.stderr)
         return 2

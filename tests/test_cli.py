@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -14,6 +15,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, strategies as st
 
 import brieskorn
 from brieskorn import cli, filtration, genus, resolution, verify
@@ -230,10 +232,11 @@ class TestVerifyWorkers:
 
     def test_importing_the_cli_imports_no_multiprocessing(self):
         # nor dataclasses, which with the inspect it imports costs more than
-        # the rest of the package; records are named tuples
+        # the rest of the package; records are named tuples; nor json, as cli
+        # writes its own
         probe = (
-            "import sys, brieskorn.cli; print([m for m in sys.modules"
-            " if 'multipro' in m or m in ('dataclasses', 'inspect')])"
+            "import sys, brieskorn.cli; print([m for m in sys.modules if 'multipro' in m"
+            " or m in ('dataclasses', 'inspect', 'json', 'json.encoder', '_json')])"
         )
         assert run_python("-c", probe).stdout == "[]\n"
 
@@ -507,4 +510,117 @@ class TestOneRecordPerTriple:
         assert captured.err == (
             "brieskorn: internal check failed: BrieskornTriple(a=3, b=4, c=7): "
             "p_f path says True, elliptic list says False\n"
+        )
+
+
+def oracle(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+INTS = st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-(2**64))
+# printable ASCII but '"' and '\\': the strs the JSON outputs hold, keys and values
+SAFE = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, blacklist_characters='"\\'))
+VALUES = st.recursive(
+    st.none() | st.booleans() | INTS | SAFE | st.lists(INTS),
+    lambda children: st.lists(children) | st.dictionaries(SAFE, children),
+    max_leaves=25,
+)
+
+
+class TestJsonWriter:
+    """cli writes JSON itself, byte for byte as json.dumps(sort_keys=True, indent=2),
+    and refuses any value the JSON outputs never hold."""
+
+    @given(VALUES)
+    def test_writes_what_json_dumps_writes(self, value):
+        assert cli._dump_json(value) == oracle(value)
+
+    @pytest.fixture
+    def written(self, monkeypatch, capsys):
+        """main(argv) -> what it printed, and the one value it wrote that from."""
+        values, writer = [], cli._dump_json
+        monkeypatch.setattr(cli, "_dump_json", lambda value: values.append(value) or writer(value))
+
+        def run(argv):
+            values.clear()
+            assert main(argv) == 0
+            [value] = values
+            return capsys.readouterr().out, value
+
+        return run
+
+    def test_every_record_is_written_as_json_dumps_writes_it(self, written):
+        triples = [(a, b, c) for c in range(2, 13) for b in range(2, c + 1) for a in range(2, b + 1)]
+        for triple in [*triples, (500, 700, 900)]:
+            text, value = written(["invariants", *map(str, triple), "--json"])
+            assert text == oracle(value), triple
+        assert (3, 4, 7) in triples and len(triples) == 286
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graph", "2", "3", "5", "--json"],
+            ["graph", "6", "10", "10", "--json"],  # a b = c star
+            ["scan", "2..4", "2..8", "2..8", "--json"],
+            ["scan", "2..4", "2..8", "2..8", "--json", "--filter", "elliptic"],
+        ],
+    )
+    def test_graphs_and_scans_are_written_as_json_dumps_writes_them(self, written, argv):
+        text, value = written(argv)
+        assert value and text == oracle(value)
+
+    def test_an_empty_scan_is_an_empty_list(self, capsys):
+        assert main(["scan", "3", "4", "7", "--json", "--filter", "elliptic"]) == 0
+        assert capsys.readouterr() == ("[]\n", "")
+
+    REFUSED = [1.5, (1, 2), {3: 1}, {"a": 1, 3: 2}, {'a"b': 1}, 'say "hi"', "\u00e9", "a\\b", "\t"]
+
+    @pytest.mark.parametrize("value", REFUSED)
+    def test_refuses_what_the_outputs_never_hold(self, value):
+        with pytest.raises(InternalCheckError, match="^JSON output cannot hold "):
+            cli._dump_json({"nested": [value]})
+
+    @pytest.mark.parametrize("value", REFUSED)
+    def test_a_refused_value_exits_1_with_one_line(self, monkeypatch, capsys, value):
+        monkeypatch.setattr(cli, "_invariants_dict", lambda t: {"pg": value})
+        assert main(["invariants", "3", "4", "7", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("brieskorn: internal check failed: JSON output cannot hold ")
+
+
+def run_to(stdout, unbuffered: bool, *argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, writing to stdout, with or without a buffer."""
+    env = checkout_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    flags = ["-u"] if unbuffered else []
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "brieskorn.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120, env=env,
+    )
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+class TestClosedOutput:
+    """A closed or full stdout ends in one line on stderr and exit 1, never a traceback:
+    unbuffered, the first write fails; buffered, main's flush does."""
+
+    def test_a_pipe_closed_early(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            run = run_to(write_end, unbuffered, "verify", "12")
+        finally:
+            os.close(write_end)
+        assert (run.returncode, run.stderr) == (
+            1, f"brieskorn: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+        )
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full here")
+    def test_a_full_device(self, unbuffered):
+        with open("/dev/full", "w") as full:
+            run = run_to(full, unbuffered, "invariants", "3", "4", "7")
+        assert (run.returncode, run.stderr) == (
+            1, f"brieskorn: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
         )
