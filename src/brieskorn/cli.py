@@ -1,14 +1,15 @@
 """Command-line interface: per-triple reports, graph export, scans, verification.
 
-Exit codes: 0 success, 1 verification failure (a failed verify suite or a
-failed internal self-consistency check) or output error (a closed or full
-stdout), 2 usage error, 130 interrupted (Ctrl-C); main reports each failure in
-one line on stderr.  All numeric output is exact (integers).  JSON is written
-by _json, without the json module: the bytes that json.dumps(value,
-sort_keys=True, indent=2) writes, the tests' oracle.  Keys are sorted so that
-parsing and re-emitting is byte-identical, and a value the outputs never hold
-is refused.  Scan rows are read straight from classify.invariants, in
-SCAN_COLUMNS order; no CSV cell needs quoting.
+Exit codes: 0 success, 1 verification failure (a failed verify suite, a
+failed internal self-consistency check or a dead verify worker) or output
+error (a closed or full stdout, also under --help), 2 usage error, 130
+interrupted (Ctrl-C); main reports each failure in one line on stderr.  All
+numeric output is exact (integers).  JSON is written by _json, without the
+json module: the bytes that json.dumps(value, sort_keys=True, indent=2)
+writes, the tests' oracle.  Keys are sorted so that parsing and re-emitting is
+byte-identical, and a value the outputs never hold is refused.  Scan rows are
+read straight from classify.invariants, in SCAN_COLUMNS order; no CSV cell
+needs quoting.
 """
 
 from __future__ import annotations
@@ -234,8 +235,12 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:  # built on first use, not at import, and reused after
         _parser = build_parser()
-    args = _parser.parse_args(argv)
     try:
+        try:
+            args = _parser.parse_args(argv)
+        except SystemExit:  # --help, or a usage error: its text, too, is flushed here
+            sys.stdout.flush()
+            raise
         code = args.func(args, sys.stdout)
         sys.stdout.flush()  # so a closed or full stdout fails here, not at exit
         return code

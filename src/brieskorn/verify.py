@@ -11,14 +11,22 @@ recorded as a failure and ends that suite's checks of the triple, or of the
 pair and its triples, so a suite never reports more failures than checks.
 
 No state crosses from one pair to the next, so run_all(bound, jobs) maps _row
-over the pairs in walk order, with map in process or Pool.imap on forked
-workers, and adds the rows up: both yield the rows, and raise the first
-exception, in walk order.  Each suite_* walks in process with its suite alone.
-This is the engine behind `brieskorn verify`.
+over the pairs, in process or on jobs workers forked by _forked, and adds the
+rows up in walk order.  Worker w takes the strided share pairs[w::jobs], which
+balances the cost of small and large a, and sends its rows, and the exception
+that ended them if one did, through a pipe as one marshal record; the parent
+puts the rows back in walk order and raises the first exception in walk order,
+as the in-process map does.  A worker that dies, or sends nothing, ends the
+walk in an InternalCheckError naming it and its wait status; no worker
+outlives the walk, and one whose parent is killed stops at its next pair.
+Each suite_* walks in process with its suite alone.  This is the engine behind
+`brieskorn verify`.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
 from functools import partial
 from math import comb
 
@@ -258,9 +266,85 @@ def _summed(names, rows) -> list[SuiteResult]:
     return results
 
 
+def _forked(row, pairs, jobs: int) -> list:
+    """row mapped over pairs on jobs forked workers, worker w on pairs[w::jobs]: the
+    rows in walk order, or the first exception in walk order, raised again here."""
+    import signal
+
+    parent = os.getpid()
+    ends, running = [], []  # each worker's read end; the pids not yet reaped
+    try:
+        # SIGINT is blocked while they fork: the workers inherit the block, and
+        # Ctrl-C reaches this process only, whose finally kills them
+        held = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+        try:
+            for w in range(jobs):
+                read_end, write_end = os.pipe()
+                ends.append(read_end)
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _work(row, pairs[w::jobs], parent, ends, write_end)
+                finally:
+                    os.close(write_end)
+                running.append(pid)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        shares = []
+        for w, (pid, end) in enumerate(zip(list(running), ends)):
+            with open(end, "rb", closefd=False) as pipe:
+                sent = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            running.remove(pid)
+            if status or not sent:
+                raise InternalCheckError(f"verify worker {w} of {jobs} died: wait status {status}")
+            shares.append(marshal.loads(sent))
+    finally:
+        for end in ends:
+            os.close(end)
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    rows = []
+    for i in range(len(pairs)):
+        done, exc = shares[i % jobs]
+        if i // jobs == len(done):  # the share ended here, in exc
+            import pickle
+
+            raise pickle.loads(exc)
+        rows.append(done[i // jobs])
+    return rows
+
+
+def _work(row, share, parent: int, ends, write_end: int):
+    """A forked worker: its share's rows, and the pickled exception that ended them or
+    None, sent as one marshal record.  It leaves by os._exit, so it runs no exit hook,
+    flushes no stdio buffer it copied, and never returns into its parent's stack; it
+    leaves early, at the next pair, once its parent is gone."""
+    code = 1
+    try:
+        for end in ends:  # the parent is the only reader: once it is gone, a write fails
+            os.close(end)
+        rows, exc = [], None
+        try:
+            for pair in share:
+                if os.getppid() != parent:  # orphaned: no one waits for the rows
+                    return
+                rows.append(row(pair))
+        except Exception as e:
+            import pickle
+
+            exc = pickle.dumps(e)
+        with open(write_end, "wb") as pipe:
+            pipe.write(marshal.dumps((rows, exc)))
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def _run(bound: int, names, jobs: int = 1) -> list[SuiteResult]:
     """Every suite named, summed over the pairs' rows up to bound in walk order, on
-    at most jobs forked workers; in process where fork is not a start method."""
+    at most jobs forked workers; in process where os has no fork."""
     if bound < 2:
         raise ValueError(f"bound must be at least 2, got {bound}")
     if jobs < 1:
@@ -268,27 +352,8 @@ def _run(bound: int, names, jobs: int = 1) -> list[SuiteResult]:
     pairs = [(a, b) for a in range(2, bound + 1) for b in range(a, bound + 1)]
     row = partial(_row, bound, names)
     jobs = min(jobs, len(pairs))
-    if jobs > 1:
-        import multiprocessing
-        import signal
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            # fork, named since 3.14 defaults to forkserver: workers inherit the
-            # package, and the pool forks them before it starts its own threads.
-            # SIGINT is blocked while it starts: the workers inherit the block, and
-            # Ctrl-C reaches this process only once the with can tear the pool down
-            held = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
-            try:
-                with multiprocessing.get_context("fork").Pool(jobs) as pool:
-                    signal.pthread_sigmask(signal.SIG_SETMASK, held)
-                    # rows, and the first exception, in walk order; Pool.map's chunk size
-                    results = _summed(names, pool.imap(row, pairs, -(-len(pairs) // (4 * jobs))))
-                    pool.close()
-                    pool.join()
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, held)
-            return results
-    return _summed(names, map(row, pairs))
+    forked = jobs > 1 and hasattr(os, "fork")
+    return _summed(names, _forked(row, pairs, jobs) if forked else map(row, pairs))
 
 
 def _alone(name: str, bound: int) -> SuiteResult:

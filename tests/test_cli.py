@@ -3,16 +3,13 @@ import errno
 import hashlib
 import io
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
 import sys
 import time
 from collections import Counter
-from multiprocessing.pool import ThreadPool
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -123,21 +120,21 @@ def usable_cores(monkeypatch, n: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
-def no_pool(method):
-    raise AssertionError("a process pool was asked for")
+def no_fork():
+    raise AssertionError("a worker was forked")
 
 
-def thread_pools(monkeypatch) -> list[int]:
-    """Threads in place of forked workers, from the fork context only: the list of the
-    pools' sizes, so no process is started however many cores are patched in."""
-    sizes = []
+def recorded_forks(monkeypatch) -> list[int]:
+    """verify._forked mapping the rows in process: the list of the jobs it was asked
+    for, so no process is started however many cores are patched in."""
+    jobs_asked = []
 
-    def context(method):
-        assert method == "fork"
-        return SimpleNamespace(Pool=lambda n: sizes.append(n) or ThreadPool(n))
+    def forked(row, pairs, jobs):
+        jobs_asked.append(jobs)
+        return map(row, pairs)
 
-    monkeypatch.setattr(multiprocessing, "get_context", context)
-    return sizes
+    monkeypatch.setattr(verify, "_forked", forked)
+    return jobs_asked
 
 
 def checkout_env() -> dict:
@@ -164,7 +161,7 @@ class TestVerifyWorkers:
 
     def test_a_bad_bound_is_refused_before_any_pool(self, monkeypatch, capsys):
         usable_cores(monkeypatch, 2)
-        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork, raising=False)
         assert main(["verify", "1"]) == 2
         assert capsys.readouterr().err == "brieskorn: bound must be at least 2, got 1\n"
         with pytest.raises(ValueError, match="^bound must be at least 2, got 1$"):
@@ -176,7 +173,7 @@ class TestVerifyWorkers:
         usable_cores(monkeypatch, 2)
         forked = run_cli(["verify", "8"])[1]
         usable_cores(monkeypatch, 1)
-        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork, raising=False)
         assert main(["verify", "8"]) == 0
         assert capsys.readouterr().out == forked
 
@@ -201,34 +198,83 @@ class TestVerifyWorkers:
     def test_no_worker_outlives_the_command(self, monkeypatch, capsys):
         usable_cores(monkeypatch, 2)
         assert main(["verify", "8"]) == 0
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):  # every worker is reaped
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("cores, bound, jobs", [(1000, 3, 3), (3, 8, 3), (2, 2, 1), (1, 8, 1)])
     def test_never_more_workers_than_cores_or_pairs(self, monkeypatch, capsys, cores, bound, jobs):
         expected = run_cli(["verify", str(bound)])[1]
         usable_cores(monkeypatch, cores)
-        sizes = thread_pools(monkeypatch)
+        jobs_asked = recorded_forks(monkeypatch)
         assert main(["verify", str(bound)]) == 0
         assert capsys.readouterr().out == expected
-        assert sizes == ([jobs] if jobs > 1 else [])
+        assert jobs_asked == ([jobs] if jobs > 1 else [])
 
     def test_without_an_affinity_call_the_cpu_count_is_used(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        sizes = thread_pools(monkeypatch)
+        jobs_asked = recorded_forks(monkeypatch)
         for count, jobs in [(None, 1), (1, 1), (4, 4), (64, 28)]:  # 28 pairs at bound 8
             monkeypatch.setattr(os, "cpu_count", lambda: count)
-            sizes.clear()
+            jobs_asked.clear()
             assert main(["verify", "8"]) == 0
-            assert sizes == ([jobs] if jobs > 1 else [])
+            assert jobs_asked == ([jobs] if jobs > 1 else [])
 
     def test_without_fork_the_walk_stays_in_process(self, monkeypatch):
         in_process = verify.run_all(8)
-        sizes = thread_pools(monkeypatch)
+        jobs_asked = recorded_forks(monkeypatch)
         assert verify.run_all(8, jobs=4) == in_process
-        assert sizes == ([4] if "fork" in multiprocessing.get_all_start_methods() else [])
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        assert jobs_asked == ([4] if hasattr(os, "fork") else [])
+        monkeypatch.delattr(os, "fork", raising=False)
+        jobs_asked.clear()
         assert verify.run_all(8, jobs=4) == in_process
+        assert jobs_asked == []
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="verify forks no worker")
+    @pytest.mark.parametrize("jobs", [2, 3, 7])
+    def test_forked_rows_and_first_exception_come_in_walk_order(self, jobs):
+        # worker w maps pairs[w::jobs] and stops at its first exception; 4 and 5
+        # fall in different shares for every jobs here, and 4 is first in walk order
+        pairs = list(range(10))
+        assert verify._forked(lambda x: (x, [str(x)]), pairs, jobs) == [
+            (x, [str(x)]) for x in pairs
+        ]
+
+        def row(x):
+            if x in (4, 5, 8):
+                raise ValueError(x)
+            return x
+
+        with pytest.raises(ValueError, match="^4$"):
+            verify._forked(row, pairs, jobs)
+        with pytest.raises(ChildProcessError):  # every worker is reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="verify forks no worker")
+    def test_a_dead_worker_exits_1_with_one_line_and_leaves_no_process(self):
+        # verify 8 on two forked workers, in a session of its own; the worker that
+        # walks (3, 5), pair 9 and so worker 1, exits 7 there
+        dies = (
+            "import os; from brieskorn import filtration; parent = os.getpid(); "
+            "exact = filtration.nr_by_staircase_oracle; "
+            "filtration.nr_by_staircase_oracle = lambda p: os._exit(7) "
+            "if (p.a, p.b) == (3, 5) and os.getpid() != parent else exact(p); "
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", dies + TWO_CORES, "verify", "8"], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, env=checkout_env(), start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=60)
+            with pytest.raises(ProcessLookupError):  # nothing is left in the group
+                os.killpg(proc.pid, 0)
+        finally:  # whatever failed, no process of the group outlives the test
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert (proc.returncode, out) == (1, "")
+        assert err == (
+            f"brieskorn: internal check failed: verify worker 1 of 2 died: wait status {7 << 8}\n"
+        )
 
     def test_importing_the_cli_imports_no_multiprocessing(self):
         # nor dataclasses, which with the inspect it imports costs more than
@@ -239,6 +285,15 @@ class TestVerifyWorkers:
             " or m in ('dataclasses', 'inspect', 'json', 'json.encoder', '_json')])"
         )
         assert run_python("-c", probe).stdout == "[]\n"
+        # nor does verify on two forked workers, nor pickle, which only a worker's
+        # exception needs; printed at the parent's exit, which no worker reaches
+        at_exit = (
+            "import atexit, sys; atexit.register(lambda: print([m for m in sys.modules"
+            " if 'multipro' in m or 'pickle' in m], file=sys.stderr)); "
+        )
+        run = run_python("-c", at_exit + TWO_CORES, "verify", "8")
+        assert (run.returncode, run.stderr) == (0, "[]\n")
+        assert run.stdout == run_cli(["verify", "8"])[1]
 
     def test_a_piped_report_prints_once_and_warns_nothing(self):
         # verify 8 on two forked workers under -W error: no buffer a fork copied
@@ -246,6 +301,36 @@ class TestVerifyWorkers:
         run = run_python("-W", "error", "-c", TWO_CORES, "verify", "8")
         assert (run.returncode, run.stderr) == (0, "")
         assert run.stdout == run_cli(["verify", "8"])[1]
+
+
+needs_proc_children = pytest.mark.skipif(
+    not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists()
+    or not hasattr(os, "fork"),
+    reason="reads a process's children from /proc, and verify forks its workers",
+)
+
+
+def forked_workers(proc: subprocess.Popen) -> list[str]:
+    """The pids of proc's two verify workers, once both exist."""
+    deadline = time.monotonic() + 60
+    while True:
+        workers = [
+            pid
+            for tasks in Path(f"/proc/{proc.pid}/task").glob("*/children")
+            for pid in tasks.read_text().split()
+        ]
+        if len(workers) >= 2:
+            return workers
+        assert proc.poll() is None and time.monotonic() < deadline
+        time.sleep(0.01)
+
+
+def exited(pid: str) -> bool:
+    """Whether the process is gone, or a zombie that no one has reaped yet."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
 
 
 class TestInterrupt:
@@ -263,28 +348,31 @@ class TestInterrupt:
         assert code == 130
         assert capsys.readouterr() == ("", "brieskorn: interrupted\n")
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(), reason="verify forks no worker"
-    )
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="verify forks no worker")
     def test_the_walk_leaves_sigint_unblocked(self, monkeypatch):
-        # SIGINT is blocked only while the pool starts, and unblocked also when it
-        # fails to start
+        # SIGINT is blocked only while the workers fork, and unblocked also when a
+        # fork fails; the worker forked before the failure is killed and reaped
         def blocked():
             return signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, [])
 
-        sizes = thread_pools(monkeypatch)
         assert all(result.passed for result in verify.run_all(8, jobs=2))
-        assert sizes == [2] and not blocked()
-        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
-        with pytest.raises(AssertionError, match="a process pool was asked for"):
-            verify.run_all(8, jobs=2)
         assert not blocked()
+        fork, seen = os.fork, []
 
-    @pytest.mark.skipif(
-        not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists()
-        or "fork" not in multiprocessing.get_all_start_methods(),
-        reason="reads a process's children from /proc, and verify forks its workers",
-    )
+        def second_fork_fails():
+            seen.append(blocked())
+            if len(seen) == 2:
+                raise OSError(errno.EAGAIN, "injected")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        with pytest.raises(OSError, match="injected"):
+            verify.run_all(8, jobs=2)
+        assert seen == [True, True] and not blocked()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @needs_proc_children
     def test_ctrl_c_on_forked_workers_reports_once_and_leaves_no_process(self):
         # verify 60 on two forked workers, in a session of its own; once both
         # workers exist, SIGINT goes to the whole process group, as a terminal's
@@ -294,14 +382,7 @@ class TestInterrupt:
             stderr=subprocess.PIPE, text=True, env=checkout_env(), start_new_session=True,
         )
         try:
-            deadline = time.monotonic() + 60
-            while len([
-                pid
-                for tasks in Path(f"/proc/{proc.pid}/task").glob("*/children")
-                for pid in tasks.read_text().split()
-            ]) < 2:
-                assert proc.poll() is None and time.monotonic() < deadline
-                time.sleep(0.01)
+            forked_workers(proc)
             os.killpg(proc.pid, signal.SIGINT)
             out, err = proc.communicate(timeout=60)
             with pytest.raises(ProcessLookupError):  # nothing is left in the group
@@ -311,6 +392,27 @@ class TestInterrupt:
                 os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
         assert (proc.returncode, out, err) == (130, "", "brieskorn: interrupted\n")
+
+    @needs_proc_children
+    def test_the_workers_of_a_killed_parent_exit(self):
+        # verify 70 on two forked workers, whose parent is killed once both exist:
+        # each leaves at its next pair, seconds before its share would end
+        proc = subprocess.Popen(
+            [sys.executable, "-c", TWO_CORES, "verify", "70"], stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, env=checkout_env(), start_new_session=True,
+        )
+        try:
+            workers = forked_workers(proc)
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait()
+            deadline = time.monotonic() + 5
+            while not all(map(exited, workers)):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:  # whatever failed, no process of the group outlives the test
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
 
 
 class TestParserReuse:
@@ -624,3 +726,22 @@ class TestClosedOutput:
         assert (run.returncode, run.stderr) == (
             1, f"brieskorn: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
         )
+
+
+def test_help_into_a_closed_pipe_exits_1_with_one_line():
+    # argparse writes the help into stdout's buffer and exits; main flushes it
+    # (unbuffered, argparse swallows the error itself)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = run_to(write_end, False, "scan", "--help")
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (
+        1, f"brieskorn: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+    )
+    run = run_to(subprocess.PIPE, False, "scan", "--help")
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.startswith("usage: brieskorn scan ")
+    run = run_to(subprocess.PIPE, False, "scan", "2", "x..3", "4")
+    assert run.returncode == 2 and run.stdout == ""
