@@ -13,11 +13,11 @@ pair and its triples, so a suite never reports more failures than checks.
 No state crosses from one pair to the next, so run_all(bound, jobs) maps _row
 over the pairs, in process or on jobs workers forked by _forked, and adds the
 rows up in walk order.  Worker w takes the strided share pairs[w::jobs], which
-balances the cost of small and large a, and sends its rows, and the exception
-that ended them if one did, through a pipe as one marshal record; the parent
-puts the rows back in walk order and raises the first exception in walk order,
-as the in-process map does.  A worker that dies, or sends nothing, ends the
-walk in an InternalCheckError naming it and its wait status; no worker
+balances the cost of small and large a, and sends each row through a pipe as
+one marshal record, or the exception that ended its share; the parent reads
+row i from worker i % jobs, so it raises the first exception in walk order, as
+the in-process map does.  A worker that dies ends the walk at the first row it
+owes, in an InternalCheckError naming it and its wait status; no worker
 outlives the walk, and one whose parent is killed stops at its next pair.
 Each suite_* walks in process with its suite alone.  This is the engine behind
 `brieskorn verify`.
@@ -268,11 +268,13 @@ def _summed(names, rows) -> list[SuiteResult]:
 
 def _forked(row, pairs, jobs: int) -> list:
     """row mapped over pairs on jobs forked workers, worker w on pairs[w::jobs]: the
-    rows in walk order, or the first exception in walk order, raised again here."""
+    rows in walk order, or the first exception in walk order, raised again here.
+    Row i is read from worker i % jobs, so what comes there is what happened at
+    row i: the row, the exception that ended that share, or the end of file of a
+    worker that died; after the last row, each worker's end of file."""
     import signal
 
-    parent = os.getpid()
-    ends, running = [], []  # each worker's read end; the pids not yet reaped
+    pipes, running = [], {}  # each worker's read end; the pid of each worker not yet reaped
     try:
         # SIGINT is blocked while they fork: the workers inherit the block, and
         # Ctrl-C reaches this process only, whose finally kills them
@@ -280,63 +282,59 @@ def _forked(row, pairs, jobs: int) -> list:
         try:
             for w in range(jobs):
                 read_end, write_end = os.pipe()
-                ends.append(read_end)
+                pipes.append(open(read_end, "rb"))
                 try:
                     pid = os.fork()
                     if pid == 0:
-                        _work(row, pairs[w::jobs], parent, ends, write_end)
+                        _work(row, pairs[w::jobs], pipes, write_end)
                 finally:
                     os.close(write_end)
-                running.append(pid)
+                running[w] = pid
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, held)
-        shares = []
-        for w, (pid, end) in enumerate(zip(list(running), ends)):
-            with open(end, "rb", closefd=False) as pipe:
-                sent = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            running.remove(pid)
-            if status or not sent:
+        rows = []
+        for i in range(len(pairs) + jobs):  # each row, then each worker's end of file
+            w = i % jobs
+            try:
+                record = marshal.load(pipes[w])
+            except EOFError:
+                status = os.waitpid(running.pop(w), 0)[1]
+                if not status and i >= len(pairs):  # a clean exit after its last row
+                    continue
                 raise InternalCheckError(f"verify worker {w} of {jobs} died: wait status {status}")
-            shares.append(marshal.loads(sent))
+            if isinstance(record, bytes):  # the share ended here, in this exception
+                import pickle
+
+                raise pickle.loads(record)
+            rows.append(record)
+        return rows
     finally:
-        for end in ends:
-            os.close(end)
-        for pid in running:
+        for pipe in pipes:
+            pipe.close()
+        for pid in running.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    rows = []
-    for i in range(len(pairs)):
-        done, exc = shares[i % jobs]
-        if i // jobs == len(done):  # the share ended here, in exc
-            import pickle
-
-            raise pickle.loads(exc)
-        rows.append(done[i // jobs])
-    return rows
 
 
-def _work(row, share, parent: int, ends, write_end: int):
-    """A forked worker: its share's rows, and the pickled exception that ended them or
-    None, sent as one marshal record.  It leaves by os._exit, so it runs no exit hook,
-    flushes no stdio buffer it copied, and never returns into its parent's stack; it
-    leaves early, at the next pair, once its parent is gone."""
+def _work(row, share, pipes, write_end: int):
+    """A forked worker: each row of its share, dumped and flushed as one marshal record
+    as soon as it is computed, or the pickled exception that ended the share, as
+    bytes.  It leaves by os._exit, so it runs no exit hook, flushes no stdio buffer it
+    copied, and never returns into its parent's stack; it leaves early, at its next
+    flush, once its parent is gone."""
     code = 1
     try:
-        for end in ends:  # the parent is the only reader: once it is gone, a write fails
-            os.close(end)
-        rows, exc = [], None
-        try:
-            for pair in share:
-                if os.getppid() != parent:  # orphaned: no one waits for the rows
-                    return
-                rows.append(row(pair))
-        except Exception as e:
-            import pickle
+        for pipe in pipes:  # the parent is the only reader: once it is gone, a flush fails
+            pipe.close()
+        with open(write_end, "wb") as out:
+            try:
+                for pair in share:
+                    marshal.dump(row(pair), out)
+                    out.flush()
+            except Exception as e:
+                import pickle
 
-            exc = pickle.dumps(e)
-        with open(write_end, "wb") as pipe:
-            pipe.write(marshal.dumps((rows, exc)))
+                marshal.dump(pickle.dumps(e), out)
         code = 0
     finally:
         os._exit(code)

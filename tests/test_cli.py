@@ -156,6 +156,40 @@ TWO_CORES = (
 )
 
 
+@contextlib.contextmanager
+def own_session(*argv: str):
+    """A fresh interpreter that imports this checkout's brieskorn, through pipes, in a
+    session of its own; whatever failed, no process of its group outlives the block."""
+    with subprocess.Popen(
+        [sys.executable, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=checkout_env(), start_new_session=True,
+    ) as proc:
+        try:
+            yield proc
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+
+
+def check_worker_1_exits_7_in_verify_8(otherwise: str = "exact(p)") -> None:
+    """verify 8 on two forked workers: worker 1 exits 7 at (3, 5), pair 9, and elsewhere
+    the workers' nr oracle is otherwise, an expression of p, os, signal and exact.  It
+    exits 1 with one line, and leaves no process."""
+    injection = (
+        "import os, signal; from brieskorn import filtration as f; parent = os.getpid(); "
+        "exact = f.nr_by_staircase_oracle; f.nr_by_staircase_oracle = lambda p: exact(p) "
+        f"if os.getpid() == parent else os._exit(7) if p == (3, 5) else {otherwise}; "
+    )
+    with own_session("-c", injection + TWO_CORES, "verify", "8") as proc:
+        out, err = proc.communicate(timeout=20)
+        with pytest.raises(ProcessLookupError):  # nothing is left in the group
+            os.killpg(proc.pid, 0)
+    assert (proc.returncode, out) == (1, "")
+    assert err == (
+        f"brieskorn: internal check failed: verify worker 1 of 2 died: wait status {7 << 8}\n"
+    )
+
+
 class TestVerifyWorkers:
     """verify forks one worker per usable core, at most one per pair, and no more."""
 
@@ -251,30 +285,25 @@ class TestVerifyWorkers:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="verify forks no worker")
     def test_a_dead_worker_exits_1_with_one_line_and_leaves_no_process(self):
-        # verify 8 on two forked workers, in a session of its own; the worker that
-        # walks (3, 5), pair 9 and so worker 1, exits 7 there
-        dies = (
-            "import os; from brieskorn import filtration; parent = os.getpid(); "
-            "exact = filtration.nr_by_staircase_oracle; "
-            "filtration.nr_by_staircase_oracle = lambda p: os._exit(7) "
-            "if (p.a, p.b) == (3, 5) and os.getpid() != parent else exact(p); "
-        )
-        proc = subprocess.Popen(
-            [sys.executable, "-c", dies + TWO_CORES, "verify", "8"], stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, text=True, env=checkout_env(), start_new_session=True,
-        )
-        try:
-            out, err = proc.communicate(timeout=60)
-            with pytest.raises(ProcessLookupError):  # nothing is left in the group
-                os.killpg(proc.pid, 0)
-        finally:  # whatever failed, no process of the group outlives the test
-            with contextlib.suppress(ProcessLookupError):
-                os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
-        assert (proc.returncode, out) == (1, "")
-        assert err == (
-            f"brieskorn: internal check failed: verify worker 1 of 2 died: wait status {7 << 8}\n"
-        )
+        check_worker_1_exits_7_in_verify_8()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="verify forks no worker")
+    def test_a_dead_worker_ends_the_walk_while_another_still_runs(self):
+        # worker 0 waits forever at (3, 6), pair 10: the walk ends at row 9, without
+        # waiting for worker 0's share
+        check_worker_1_exits_7_in_verify_8("signal.pause() if p == (3, 6) else exact(p)")
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="verify forks no worker")
+    def test_a_worker_that_sends_every_row_and_exits_nonzero_is_reported(self, monkeypatch):
+        # each worker's os._exit(0), after its last row, exits 3 instead
+        real_exit = os._exit
+        monkeypatch.setattr(os, "_exit", lambda code: real_exit(3))
+        with pytest.raises(
+            InternalCheckError, match=f"^verify worker 0 of 2 died: wait status {3 << 8}$"
+        ):
+            verify._forked(lambda x: (x, []), list(range(10)), 2)
+        with pytest.raises(ChildProcessError):  # every worker is reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_importing_the_cli_imports_no_multiprocessing(self):
         # nor dataclasses, which with the inspect it imports costs more than
@@ -374,34 +403,21 @@ class TestInterrupt:
 
     @needs_proc_children
     def test_ctrl_c_on_forked_workers_reports_once_and_leaves_no_process(self):
-        # verify 60 on two forked workers, in a session of its own; once both
-        # workers exist, SIGINT goes to the whole process group, as a terminal's
-        # Ctrl-C does
-        proc = subprocess.Popen(
-            [sys.executable, "-c", TWO_CORES, "verify", "60"], stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, text=True, env=checkout_env(), start_new_session=True,
-        )
-        try:
+        # once both workers of verify 60 exist, SIGINT goes to the whole process
+        # group, as a terminal's Ctrl-C does
+        with own_session("-c", TWO_CORES, "verify", "60") as proc:
             forked_workers(proc)
             os.killpg(proc.pid, signal.SIGINT)
             out, err = proc.communicate(timeout=60)
             with pytest.raises(ProcessLookupError):  # nothing is left in the group
                 os.killpg(proc.pid, 0)
-        finally:  # whatever failed, no process of the group outlives the test
-            with contextlib.suppress(ProcessLookupError):
-                os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
         assert (proc.returncode, out, err) == (130, "", "brieskorn: interrupted\n")
 
     @needs_proc_children
     def test_the_workers_of_a_killed_parent_exit(self):
         # verify 70 on two forked workers, whose parent is killed once both exist:
         # each leaves at its next pair, seconds before its share would end
-        proc = subprocess.Popen(
-            [sys.executable, "-c", TWO_CORES, "verify", "70"], stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL, env=checkout_env(), start_new_session=True,
-        )
-        try:
+        with own_session("-c", TWO_CORES, "verify", "70") as proc:
             workers = forked_workers(proc)
             os.kill(proc.pid, signal.SIGKILL)
             proc.wait()
@@ -409,10 +425,6 @@ class TestInterrupt:
             while not all(map(exited, workers)):
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
-        finally:  # whatever failed, no process of the group outlives the test
-            with contextlib.suppress(ProcessLookupError):
-                os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
 
 
 class TestParserReuse:

@@ -376,7 +376,7 @@ def test_the_walk_leaves_no_cyclic_garbage():
 
 def test_workers_add_up_to_the_walk_in_process():
     # SuiteResult compares by its fields: name, checks and the failure list, in order;
-    # 190 pairs, in chunks of 24 ending in one of 22 at 2 workers, of 16 ending in 14 at 3
+    # 190 pairs, worker w walking pairs[w::jobs]: 95 each at 2 workers, 64, 63 and 63 at 3
     in_process = run_all(20)
     for jobs in (2, 3):
         assert run_all(20, jobs=jobs) == in_process
@@ -393,15 +393,14 @@ def test_workers_keep_the_failures_in_walk_order(monkeypatch):
         for result in in_process
         for f in result.failures
     ]
-    chunk = -(-len(pairs) // (4 * 2))  # imap's chunk size at 2 workers
-    assert len({i // chunk for i in failed_at}) > 1  # in more than one chunk
+    assert {i % 2 for i in failed_at} == {0, 1}  # in both workers' shares at 2 workers
     assert run_all(12, jobs=2) == in_process
 
 
 def test_workers_raise_the_first_exception_in_walk_order(monkeypatch):
     exact = filtration.nr_by_staircase_oracle
-    # pair 1 of the walk, in chunk 0, and pair 27, the cheapest, in the last chunk
-    raising = {(2, 3): "first", (8, 8): "second"}
+    # pairs 4 and 5 of the walk, in different workers' shares at 2 and at 3 workers
+    raising = {(2, 6): "first", (2, 7): "second"}
 
     def refused(p):
         if (p.a, p.b) in raising:
