@@ -184,8 +184,19 @@ def cmd_verify(args, out) -> int:
     return 1 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a failed write to stdout (--help) raises for main
+    to report, where argparse swallows it; its subparsers share the class."""
+
+    def _print_message(self, message, file=None):
+        if message and file is not None and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="brieskorn",
         description="Exact invariants of Brieskorn hypersurface singularities x^a + y^b + z^c",
     )

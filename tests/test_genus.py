@@ -1,7 +1,7 @@
 from itertools import product
 from math import comb
 
-from triples import triples
+from triples import off_golden, triples
 
 from brieskorn.classify import invariants
 from brieskorn.genus import geometric_genus
@@ -56,10 +56,7 @@ class TestGeometricGenus:
             assert geometric_genus(new_triple(2, 3, c)) == 0
 
     def test_known_values(self):
-        assert geometric_genus(new_triple(2, 3, 7)) == 1
-        assert geometric_genus(new_triple(2, 4, 5)) == 1
-        assert geometric_genus(new_triple(3, 4, 7)) == 3
-        assert geometric_genus(new_triple(2, 6, 10)) == 4
+        assert not off_golden("pg", geometric_genus)
 
     def test_family_2_3_6p_plus_1(self):
         assert not pg_table_failures("(2,3,6p+1)")
@@ -95,10 +92,7 @@ class TestQOfM:
     # q(m) is q_1 of the record; q_sequence raises on any q(n) < 0, and
     # q(m) = p_g - S(1) with every v_n >= 0, so 0 <= q(m) <= p_g holds there
     def test_known_values(self):
-        assert invariants(new_triple(2, 3, 7)).q[1] == 1
-        assert invariants(new_triple(2, 4, 5)).q[1] == 0
-        assert invariants(new_triple(3, 4, 7)).q[1] == 2
-        assert invariants(new_triple(2, 6, 10)).q[1] == 2
+        assert not off_golden("q", lambda t: invariants(t).q)
 
     def test_pg_ideal_case_reaches_pg(self):
         # for a = 2, b in {2, 3} the tail vanishes and q(m) = p_g

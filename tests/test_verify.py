@@ -1,7 +1,6 @@
 """The oracles that run only in verify still catch a wrong hot-path value."""
 
 import gc
-import re
 from collections import Counter, defaultdict
 from functools import cached_property
 
@@ -373,41 +372,3 @@ def test_the_walk_leaves_no_cyclic_garbage():
     finally:
         gc.enable()
 
-
-def test_workers_add_up_to_the_walk_in_process():
-    # SuiteResult compares by its fields: name, checks and the failure list, in order;
-    # 190 pairs, worker w walking pairs[w::jobs]: 95 each at 2 workers, 64, 63 and 63 at 3
-    in_process = run_all(20)
-    for jobs in (2, 3):
-        assert run_all(20, jobs=jobs) == in_process
-
-
-def test_workers_keep_the_failures_in_walk_order(monkeypatch):
-    exact = resolution.fundamental_cycle
-    monkeypatch.setattr(resolution, "fundamental_cycle", lambda g: doubled(exact(g)))
-    in_process = run_all(12)
-    pairs = [(a, b) for a in range(2, 13) for b in range(a, 13)]
-    # each failure names its triple first: BrieskornTriple(a=.., b=.., c=..)
-    failed_at = [
-        pairs.index(tuple(map(int, re.findall(r"\d+", f)[:2])))
-        for result in in_process
-        for f in result.failures
-    ]
-    assert {i % 2 for i in failed_at} == {0, 1}  # in both workers' shares at 2 workers
-    assert run_all(12, jobs=2) == in_process
-
-
-def test_workers_raise_the_first_exception_in_walk_order(monkeypatch):
-    exact = filtration.nr_by_staircase_oracle
-    # pairs 4 and 5 of the walk, in different workers' shares at 2 and at 3 workers
-    raising = {(2, 6): "first", (2, 7): "second"}
-
-    def refused(p):
-        if (p.a, p.b) in raising:
-            raise ValueError(raising[p.a, p.b])
-        return exact(p)
-
-    monkeypatch.setattr(filtration, "nr_by_staircase_oracle", refused)
-    for jobs in (1, 2, 3):
-        with pytest.raises(ValueError, match="^first$"):
-            run_all(8, jobs=jobs)
