@@ -244,6 +244,9 @@ _parser: argparse.ArgumentParser | None = None
 
 def main(argv=None) -> int:
     global _parser
+    if sys.stdout is None:  # started with file descriptor 1 closed
+        print("brieskorn: stdout is closed", file=sys.stderr)
+        return 1
     if _parser is None:  # built on first use, not at import, and reused after
         _parser = build_parser()
     try:

@@ -1,5 +1,5 @@
-"""One verify.run_all(40) walk per test session, read by every module whose
-formula-vs-oracle sweep is a verify suite."""
+"""One verify.run_all(40) walk per test session, read by the acceptance criteria
+whose formula-vs-oracle sweep is a verify suite."""
 
 import pytest
 
@@ -11,13 +11,3 @@ def walk():
 
     return {result.name: result for result in run_all(40)}
 
-
-@pytest.fixture(scope="session")
-def walk_failures(walk):
-    """walk_failures(suite, *markers): the suite's failures naming any marker, or all."""
-
-    def select(suite: str, *markers: str) -> list[str]:
-        failures = walk[suite].failures
-        return [f for f in failures if not markers or any(m in f for m in markers)]
-
-    return select

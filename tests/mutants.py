@@ -4,9 +4,10 @@
 Tier-1 must pass on an unmutated copy of src/, tests/ and perfbench/.  Then each
 mutant, (id, file, old text, new text, why), is applied to a fresh copy, and tier-1
 runs there with -x, at most one run per usable core.  pytest's exit 1 means caught,
-0 survived and any other an error; a run past TIMEOUT is timed out.  A mutant whose
-old text does not occur exactly once is refused.  The gate exits 1 on a survivor,
-an error or a refusal (DeMillo, Lipton and Sayward, "Hints on test data selection").
+0 survived and any other an error; a run past TIMEOUT is timed out.  Each mutant's
+line names its catcher, its run's first FAILED or ERROR line.  A mutant whose old
+text does not occur exactly once is refused.  The gate exits 1 on a survivor, an
+error or a refusal (DeMillo, Lipton and Sayward, "Hints on test data selection").
 """
 
 import contextlib
@@ -62,12 +63,14 @@ MUTANTS = [
      "argparse swallows a failed write of the help"),
     ("M30", "perfbench/reference.json", '7,"9440bfe78e7a9f8d"', '7,"9440bfe78e7a9f8e"',
      "a wrong digest: the digest tests read the reference file"),
+    ("M31", CLI, "if sys.stdout is None:", "if False:", "no check for a closed fd 1 at start"),
 ]
 
 
-def tier1(mutant=None) -> tuple[str, float]:
-    """Tier-1 with -x on a fresh copy, with mutant applied if given: its outcome and
-    seconds.  The run is a session of its own; nothing of it outlives the call."""
+def tier1(mutant=None) -> tuple[str, float, str]:
+    """Tier-1 with -x on a fresh copy, with mutant applied if given: its outcome, seconds,
+    and the first FAILED or ERROR line of pytest's summary, the test that caught it.
+    The run is a session of its own; nothing of it outlives the call."""
     started = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         for name in ["src", "tests", "perfbench"]:
@@ -77,8 +80,12 @@ def tier1(mutant=None) -> tuple[str, float]:
             path = Path(tmp, mutant[1])
             path.write_text(path.read_text().replace(mutant[2], mutant[3]))
         env = dict(os.environ, PYTHONPATH=str(Path(tmp, "src")))
-        with subprocess.Popen([sys.executable, *TIER1], cwd=tmp, env=env, start_new_session=True,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL) as proc:
+        # a file, not a pipe: a long traceback never fills it, and a forked worker
+        # that outlives pytest does not hold the read open until the timeout
+        with open(Path(tmp, "tier1.log"), "w+") as log, subprocess.Popen(
+            [sys.executable, *TIER1], cwd=tmp, env=env, start_new_session=True,
+            stdout=log, stderr=subprocess.STDOUT,
+        ) as proc:
             try:
                 code = proc.wait(TIMEOUT)
             except subprocess.TimeoutExpired:
@@ -86,8 +93,11 @@ def tier1(mutant=None) -> tuple[str, float]:
             finally:  # a mutant can leave a forked worker behind
                 with contextlib.suppress(ProcessLookupError):
                     os.killpg(proc.pid, signal.SIGKILL)
+            log.seek(0)
+            catcher = next((line.split(" - ")[0].strip() for line in log
+                            if line.startswith(("FAILED ", "ERROR "))), "")
     outcome = {None: "timed out", 0: "survived", 1: "caught"}.get(code, f"error {code}")
-    return outcome, time.monotonic() - started
+    return outcome, time.monotonic() - started, catcher
 
 
 def main() -> int:
@@ -96,15 +106,16 @@ def main() -> int:
         if count != 1:
             print(f"{mutant[0]:4} refused: its old text occurs {count} times in {mutant[1]}")
     applied = [mutant for mutant, count in counts.items() if count == 1]
-    outcome, seconds = tier1()
+    outcome, seconds, _ = tier1()
     print(f"unmutated: {outcome.replace('survived', 'passed')} in {seconds:.0f} s", flush=True)
     failed = outcome != "survived" or len(applied) < len(MUTANTS)
     if outcome == "survived":
         cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         with ThreadPoolExecutor(max_workers=cores or 1) as pool:
-            for mutant, (outcome, seconds) in zip(applied, pool.map(tier1, applied)):
+            for mutant, (outcome, seconds, catcher) in zip(applied, pool.map(tier1, applied)):
                 failed |= outcome not in ("caught", "timed out")
-                print(f"{mutant[0]:4} {outcome:9} {seconds:4.0f}s  {mutant[4]}", flush=True)
+                print(f"{mutant[0]:4} {outcome:9} {seconds:4.0f}s  {mutant[4]:44} {catcher}",
+                      flush=True)
     print(f"gate {'failed' if failed else 'passed'}: {len(applied)} of {len(MUTANTS)} apply")
     return 1 if failed else 0
 

@@ -4,14 +4,13 @@ Every check is exact integer arithmetic; there are no tolerances.  Each test
 prints a single PASS/FAIL line so the gate can be read off the verbose run.
 Criteria 1, 4, 6, 7 and 10 are verify suites: they read the session's one
 run_all(40) walk (tests/conftest.py), whose per-suite check counts are pinned
-below.  Criterion 2 checks every p_g table of tests/test_genus.py.
+below.  Criterion 2 checks every p_g table of tests/triples.py.
 """
 
 from math import comb
 
-from test_genus import PG_TABLES, pg_table_failures
 from test_resolution import cycle_self_intersection
-from triples import triples
+from triples import pg_table_failures, triples
 
 from brieskorn.classify import (
     boundary_family_nr,
@@ -55,10 +54,9 @@ def test_criterion_01_nr_formula_vs_oracle(walk):
 
 
 def test_criterion_02_pg_families_and_tables():
-    failures = [abc for name in PG_TABLES for abc in pg_table_failures(name)]
     report(
         "criterion 2: p_g families (2,3,6p+1), (2,4,4p+1) and the (2,6), (2,7) tables, k <= 4",
-        failures,
+        pg_table_failures(),
     )
 
 

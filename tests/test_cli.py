@@ -107,25 +107,6 @@ def own_session(*argv: str):
                 os.killpg(proc.pid, signal.SIGKILL)
 
 
-def check_worker_1_exits_7_in_verify_8(otherwise: str = "exact(p)") -> None:
-    """verify 8 on two forked workers: worker 1 exits 7 at (3, 5), pair 9, and elsewhere
-    the workers' nr oracle is otherwise, an expression of p, os, signal and exact.  It
-    exits 1 with one line, and leaves no process."""
-    injection = (
-        "import os, signal; from brieskorn import filtration as f; parent = os.getpid(); "
-        "exact = f.nr_by_staircase_oracle; f.nr_by_staircase_oracle = lambda p: exact(p) "
-        f"if os.getpid() == parent else os._exit(7) if p == (3, 5) else {otherwise}; "
-    )
-    with own_session("-c", injection + TWO_CORES, "verify", "8") as proc:
-        out, err = proc.communicate(timeout=20)
-        with pytest.raises(ProcessLookupError):  # nothing is left in the group
-            os.killpg(proc.pid, 0)
-    assert (proc.returncode, out) == (1, "")
-    assert err == (
-        f"brieskorn: internal check failed: verify worker 1 of 2 died: wait status {7 << 8}\n"
-    )
-
-
 class TestVerifyWorkers:
     """verify forks one worker per usable core, at most one per pair, and no more."""
 
@@ -136,16 +117,6 @@ class TestVerifyWorkers:
         assert capsys.readouterr().err == "brieskorn: bound must be at least 2, got 1\n"
         with pytest.raises(ValueError, match="^jobs must be at least 1, got 0$"):
             verify.run_all(8, jobs=0)
-
-    def test_one_usable_core_walks_in_process(self, monkeypatch, capsys):
-        usable_cores(monkeypatch, 2)
-        forked = run_cli(["verify", "8"])[1]
-        assert all(line.startswith("ok ") for line in forked.splitlines())
-        assert forked.endswith("ok total: 9 suites\n")
-        usable_cores(monkeypatch, 1)
-        monkeypatch.setattr(os, "fork", no_fork, raising=False)
-        assert main(["verify", "8"]) == 0
-        assert capsys.readouterr().out == forked
 
     def test_a_value_error_in_a_worker_exits_2_with_the_same_line(self, monkeypatch, capsys):
         exact = filtration.nr_by_staircase_oracle
@@ -166,38 +137,40 @@ class TestVerifyWorkers:
         assert captured.err == "brieskorn: BrieskornPair(a=3, b=5): injected\n"
 
     def test_no_worker_outlives_the_command(self, monkeypatch, capsys):
+        usable_cores(monkeypatch, 1)
+        in_process = run_cli(["verify", "8"])[1]
+        assert all(line.startswith("ok ") for line in in_process.splitlines())
+        assert in_process.endswith("ok total: 9 suites\n")
         usable_cores(monkeypatch, 2)
         assert main(["verify", "8"]) == 0
+        assert capsys.readouterr().out == in_process
         with pytest.raises(ChildProcessError):  # every worker is reaped
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("cores, bound, jobs", [(1000, 3, 3), (3, 8, 3), (2, 2, 1), (1, 8, 1)])
-    def test_never_more_workers_than_cores_or_pairs(self, monkeypatch, capsys, cores, bound, jobs):
-        expected = run_cli(["verify", str(bound)])[1]
-        usable_cores(monkeypatch, cores)
+    # usable cores (None: no affinity call), os.cpu_count(), whether os has fork, the
+    # bound, and the workers asked for, where 1 walks in process; 28 pairs at bound 8
+    @pytest.mark.parametrize("cores, cpu_count, fork, bound, jobs", [
+        (1000, 64, True, 3, 3), (3, 64, True, 8, 3), (2, 64, True, 2, 1), (1, 64, True, 8, 1),
+        (None, None, True, 8, 1), (None, 1, True, 8, 1), (None, 4, True, 8, 4),
+        (None, 64, True, 8, 28), (4, 4, False, 8, 1),
+    ], ids="1000-3-3 3-8-3 2-2-1 1-8-1 cpu-None cpu-1 cpu-4 cpu-64 no-fork".split())
+    def test_never_more_workers_than_cores_or_pairs(
+        self, monkeypatch, capsys, cores, cpu_count, fork, bound, jobs
+    ):
+        usable_cores(monkeypatch, 1)
+        in_process = run_cli(["verify", str(bound)])[1]
+        if cores is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            usable_cores(monkeypatch, cores)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        monkeypatch.setattr(os, "fork", no_fork, raising=False)
+        if not fork:
+            monkeypatch.delattr(os, "fork")
         jobs_asked = recorded_forks(monkeypatch)
         assert main(["verify", str(bound)]) == 0
-        assert capsys.readouterr().out == expected
+        assert capsys.readouterr().out == in_process
         assert jobs_asked == ([jobs] if jobs > 1 else [])
-
-    def test_without_an_affinity_call_the_cpu_count_is_used(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        jobs_asked = recorded_forks(monkeypatch)
-        for count, jobs in [(None, 1), (1, 1), (4, 4), (64, 28)]:  # 28 pairs at bound 8
-            monkeypatch.setattr(os, "cpu_count", lambda: count)
-            jobs_asked.clear()
-            assert main(["verify", "8"]) == 0
-            assert jobs_asked == ([jobs] if jobs > 1 else [])
-
-    def test_without_fork_the_walk_stays_in_process(self, monkeypatch):
-        in_process = verify.run_all(8)
-        jobs_asked = recorded_forks(monkeypatch)
-        assert verify.run_all(8, jobs=4) == in_process
-        assert jobs_asked == ([4] if hasattr(os, "fork") else [])
-        monkeypatch.delattr(os, "fork", raising=False)
-        jobs_asked.clear()
-        assert verify.run_all(8, jobs=4) == in_process
-        assert jobs_asked == []
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="verify forks no worker")
     @pytest.mark.parametrize("jobs", [2, 3, 7])
@@ -220,14 +193,24 @@ class TestVerifyWorkers:
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="verify forks no worker")
-    def test_a_dead_worker_exits_1_with_one_line_and_leaves_no_process(self):
-        check_worker_1_exits_7_in_verify_8()
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="verify forks no worker")
     def test_a_dead_worker_ends_the_walk_while_another_still_runs(self):
-        # worker 0 waits forever at (3, 6), pair 10: the walk ends at row 9, without
-        # waiting for worker 0's share
-        check_worker_1_exits_7_in_verify_8("signal.pause() if p == (3, 6) else exact(p)")
+        # verify 8 on two forked workers: worker 1 exits 7 at (3, 5), pair 9, and worker
+        # 0 waits forever at (3, 6), pair 10; the walk ends at row 9 in exit 1 and one
+        # line, without waiting for worker 0's share, and leaves no process
+        injection = (
+            "import os, signal; from brieskorn import filtration as f; parent = os.getpid(); "
+            "exact = f.nr_by_staircase_oracle; f.nr_by_staircase_oracle = lambda p: exact(p) "
+            "if os.getpid() == parent else os._exit(7) if p == (3, 5) "
+            "else signal.pause() if p == (3, 6) else exact(p); "
+        )
+        with own_session("-c", injection + TWO_CORES, "verify", "8") as proc:
+            out, err = proc.communicate(timeout=20)
+            with pytest.raises(ProcessLookupError):  # nothing is left in the group
+                os.killpg(proc.pid, 0)
+        assert (proc.returncode, out) == (1, "")
+        assert err == (
+            f"brieskorn: internal check failed: verify worker 1 of 2 died: wait status {7 << 8}\n"
+        )
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="verify forks no worker")
     def test_a_worker_that_sends_every_row_and_exits_nonzero_is_reported(self, monkeypatch):
@@ -632,13 +615,13 @@ class TestJsonWriter:
         assert captured.err.startswith("brieskorn: internal check failed: JSON output cannot hold ")
 
 
-def run_to(stdout, unbuffered: bool, *argv: str) -> subprocess.CompletedProcess:
+def run_to(stdout, unbuffered: bool, *argv: str, preexec_fn=None) -> subprocess.CompletedProcess:
     """The CLI in a fresh interpreter, writing to stdout, with or without a buffer."""
     env = checkout_env()
     env.pop("PYTHONUNBUFFERED", None)
     flags = ["-u"] if unbuffered else []
     return subprocess.run(
-        [sys.executable, *flags, "-m", "brieskorn.cli", *argv],
+        [sys.executable, *flags, "-m", "brieskorn.cli", *argv], preexec_fn=preexec_fn,
         stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120, env=env,
     )
 
@@ -670,6 +653,12 @@ class TestClosedOutput:
         assert (run.returncode, run.stderr) == (
             1, f"brieskorn: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
         )
+
+    def test_file_descriptor_1_closed_at_start(self, unbuffered):
+        # the interpreter then sets sys.stdout to None
+        for argv in (["invariants", "3", "4", "7"], ["scan", "--help"]):
+            run = run_to(None, unbuffered, *argv, preexec_fn=lambda: os.close(1))
+            assert (run.returncode, run.stderr) == (1, "brieskorn: stdout is closed\n")
 
     def test_help_into_a_closed_pipe_exits_1_with_one_line(self, unbuffered):
         # buffered, argparse writes the help into stdout's buffer and exits, and main
