@@ -52,6 +52,9 @@ class TestElliptic:
         assert not invariants(new_triple(2, 3, 5)).elliptic
         assert not invariants(new_triple(3, 4, 6)).elliptic
 
+    def test_elliptic_implies_small_nr(self):
+        assert all(t.pair.nr <= 2 for t in triples(30) if invariants(t).elliptic)
+
 
 class TestBoundary:
     def test_examples(self):

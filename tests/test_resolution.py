@@ -475,6 +475,9 @@ class TestNegativeDefiniteness:
     def test_indefinite_rejected(self):
         assert not is_negative_definite([[-2, 3], [3, -2]])
 
+    def test_all_graphs_negative_definite(self):
+        assert all(is_negative_definite(intersection_matrix(dual_graph(t))) for t in triples(9))
+
     def test_tree_elimination_matches_bareiss(self):
         for t in triples(12):
             g = dual_graph(t)
