@@ -67,7 +67,7 @@ def q_sequence(t: BrieskornTriple, pg: int) -> tuple[int, ...]:
     if pg < sums[-1]:  # v_k >= 0, so S(n) never decreases and q(n) is least at n = nr + 1
         n = next(n for n, s in enumerate(sums) if pg < s)
         raise InternalCheckError(f"{t}: q({n}*m) = {pg - sums[n]} < 0 with pg = {pg}")
-    return tuple([pg - s for s in sums])
+    return (*map(pg.__sub__, sums),)
 
 
 def normal_hilbert_coefficients(p: BrieskornPair) -> tuple[int, int, int]:

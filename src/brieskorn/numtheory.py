@@ -2,8 +2,9 @@
 
 Everything here is pure integer arithmetic: Hirzebruch-Jung
 (descending) continued fractions and the negated modular inverse used to
-compute the branch data of resolution graphs, and the floor sum behind the
-lattice-point count for p_g.  No floating point.
+compute the branch data of resolution graphs.  No floating point.  The
+floor-sum recurrence of the lattice-point count for p_g lives in
+genus.geometric_genus, on one Euclid ladder per triple.
 """
 
 from __future__ import annotations
@@ -56,27 +57,3 @@ def mod_inverse_negation(lam: int, alpha: int) -> int:
     except ValueError as exc:
         raise ValueError(f"{lam} is not invertible modulo {alpha}") from exc
     return (-inverse) % alpha
-
-
-def floor_sum(n: int, m: int, a: int, b: int) -> int:
-    """sum_{i=0}^{n-1} floor((a*i + b) / m) in O(log m) steps.
-
-    Requires n >= 0 and m >= 1; a and b are any integers.  Euclid-style
-    recurrence: split off the integer parts of a/m and b/m, then count the
-    remaining lattice points under the line by rows instead of columns,
-    which swaps the roles of m and a (as in the AtCoder Library).
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    total = 0
-    while True:
-        qa, a = divmod(a, m)
-        qb, b = divmod(b, m)
-        total += qa * (n * (n - 1) // 2) + qb * n
-        y_max = a * n + b
-        if y_max < m:
-            return total
-        n, b = divmod(y_max, m)
-        m, a = a, m

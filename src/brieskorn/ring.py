@@ -15,18 +15,22 @@ e_k once per (pair, k, n), on (a, b, b), and the expansions once per triple.
 
 BrieskornPair (a, b) is the one home of everything the filtration of m derives
 without c: n_k, nr(m) = br(m), v_n, the sums S(n) with q(n*m) = p_g - S(n), and
-the Hilbert coefficients, each in closed form.  It also keeps the ladder of
-staircases closure(m^n), built once per pair by closure_of_m_power, which every
-staircase oracle reads.  No staircase points back at its pair, so a pair and
-its ladder hold no reference cycle and are freed by reference counting alone.
-Triples read the pair as t.pair, so verify checks it once per pair.
+the Hilbert coefficients, each in closed form, and v and S(n) in O(a) interpreted
+steps: v is a - k repeated over each run n_{k-1} <= n < n_k, and S(n) two running
+sums of it by itertools.accumulate.  It also keeps the ladder of staircases
+closure(m^n), built once per pair by closure_of_m_power, which every staircase
+oracle reads.  No staircase points back at its pair, so a pair and its ladder
+hold no reference cycle and are freed by reference counting alone.  Triples
+read the pair as t.pair, so verify checks it once per pair.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
+from itertools import accumulate, chain, repeat
 from math import comb
+from operator import sub
 
 from .errors import InternalCheckError
 
@@ -58,25 +62,25 @@ class BrieskornPair(namedtuple("BrieskornPair", "a b")):
 
     @cached_property
     def v(self) -> tuple[int, ...]:
-        """v_n = length of closure(m^{n+1}) / Q*closure(m^n) = max(a - ceil(a(n+1)/b), 0),
-        n = 0..nr; filtration.colength_drop_oracle is its oracle."""
-        return tuple(max(self.a + -self.a * (n + 1) // self.b, 0) for n in range(self.nr + 1))
+        """v_n = length of closure(m^{n+1}) / Q*closure(m^n) = #{k : n_k > n}, n = 0..nr: a - k
+        on each run n_{k-1} <= n < n_k, then 0; filtration.colength_drop_oracle is its oracle."""
+        n = self.n_seq
+        runs = map(repeat, range(self.a - 1, 0, -1), map(sub, n[1:], n))
+        return (*chain.from_iterable(runs), 0)
 
     @cached_property
     def drop_sums(self) -> tuple[int, ...]:
-        """S(n) = sum_{k>=1} min(n, k) * v_k, n = 0..nr+1, by running sums.  Re-checks the
-        q-recursion 2 q_n + v_n = q_{n+1} + q_{n-1}: S(n+1) - 2 S(n) + S(n-1) = -v_n."""
-        v = self.v
-        head, tail = 0, sum(v[1:])  # sum_{1<=k<=n} k*v_k and sum_{k>n} v_k
-        sums = []
-        for n in range(self.nr + 2):
-            if 1 <= n <= self.nr:
-                head, tail = head + n * v[n], tail - v[n]
-            sums.append(head + n * tail)
-        for n in range(1, self.nr + 1):
-            if sums[n + 1] - 2 * sums[n] + sums[n - 1] != -v[n]:
-                raise InternalCheckError(f"{self}: q-recursion fails at n={n}")
-        return tuple(sums)
+        """S(n) = sum_{k>=1} min(n, k) * v_k, n = 0..nr+1: S(0) = 0 and S(n) - S(n-1) =
+        sum_{k>=n} v_k.  Checked against the Hilbert coefficients, by Abel summation on
+        v_n = #{k : n_k > n}: S(1) = e1 - (a - 1) and S(nr + 1) = sum_k k v_k = e2."""
+        # suffix sums for n = nr+1 down to 0, read back from n = 1: sum_{k>=n} v_k, n = 1..nr+1
+        tails = [*accumulate(reversed(self.v), initial=0)][-2::-1]
+        sums = (*accumulate(tails, initial=0),)
+        _, e1, e2 = self.hilbert
+        got, expected = (sums[1], sums[-1]), (e1 - self.a + 1, e2)
+        if got != expected:
+            raise InternalCheckError(f"{self}: S(1), S(nr+1) = {got} != e1-a+1, e2 = {expected}")
+        return sums
 
     @cached_property
     def hilbert(self) -> tuple[int, int, int]:

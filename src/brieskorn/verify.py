@@ -211,7 +211,7 @@ def _certificates(t: ring.BrieskornTriple, result: SuiteResult, _) -> None:
 
 
 def _pg_bound(t: ring.BrieskornTriple, result: SuiteResult, _) -> None:
-    """floor_sum p_g vs the direct lattice loop; only where they agree, a second
+    """The Euclid-ladder p_g vs the direct lattice loop; only where they agree, a second
     check, read from the record: p_g >= C(nr, 2) + q(nr * m)."""
     result.checks += 1
     pg = genus.geometric_genus(t)
@@ -345,6 +345,8 @@ def _run(bound: int, names, jobs: int = 1) -> list[SuiteResult]:
     at most jobs forked workers; in process where os has no fork."""
     if bound < 2:
         raise ValueError(f"bound must be at least 2, got {bound}")
+    if bound > 1000:  # the walk grows like bound**4 from 39 s at 100: days on two cores
+        raise ValueError(f"bound must be at most 1000, got {bound}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     pairs = [(a, b) for a in range(2, bound + 1) for b in range(a, bound + 1)]

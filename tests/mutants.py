@@ -30,14 +30,15 @@ R, G, N, F, Z, C, V, CLI = (
 )
 MUTANTS = [
     ("M1", R, "min(self.b * k, self.c", "max(self.b * k, self.c", "expansion degrees max for min"),
-    ("M2", R, "-self.a * (n + 1) // self.b", "-self.a * n // self.b", "v_n read at n for n + 1"),
+    ("M2", R, "(*chain.from_iterable(runs), 0)", "(self.a, *chain.from_iterable(runs))",
+     "v shifted by one: v_n read at n - 1"),
     ("M3", R, "comb(nk, 2) for nk", "comb(nk + 1, 2) for nk", "e2 sums C(n_k + 1, 2)"),
     ("M4", R, "max(n - nk, 0) for nk in p.n_seq",
      "max(n - nk, 0) + (nk == p.n_seq[-1]) for nk in p.n_seq", "last staircase threshold + 1"),
     ("M5", R, "BrieskornPair._make = ", "", "BrieskornPair._make not rebound"),
-    ("M6", G, "r0 % q1) + n1", "r0 % q1)", "the p_g count drops + n1"),
+    ("M6", G, "total += n\n        for", "for", "the p_g count drops + n"),
     ("M7", G, "range(1, p.a)) - (p.a - 1)", "range(1, p.a)) - (p.a - 2)", "q(m) tail - (a - 2)"),
-    ("M8", N, "qa * (n * (n - 1) // 2)", "qa * (n * (n + 1) // 2)", "floor_sum with n(n + 1)/2"),
+    ("M8", G, "q * (n * (n - 1) // 2)", "q * (n * (n + 1) // 2)", "the p_g ladder with n(n + 1)/2"),
     ("M9", N, "return (-inverse) % alpha", "return inverse % alpha", "the inverse not negated"),
     ("M10", Z, "lcms = (lcm(t.b, t.c),", "lcms = (t.b,", "alpha_1 = a/gcd(a, b)"),
     ("M11", Z, "    x = 1\n    while True:", "    x = 2\n    while True:", "x-search starts at 2"),
@@ -64,6 +65,9 @@ MUTANTS = [
     ("M30", "perfbench/reference.json", '7,"9440bfe78e7a9f8d"', '7,"9440bfe78e7a9f8e"',
      "a wrong digest: the digest tests read the reference file"),
     ("M31", CLI, "if sys.stdout is None:", "if False:", "no check for a closed fd 1 at start"),
+    ("M32", R, "if got != expected:", "if False:", "the S(1) and S(nr + 1) guard dropped"),
+    ("M33", G, "ladder, m, x = [], b, c", "ladder, m, x = [], c, b", "the ladder on (c, b)"),
+    ("M34", V, "if bound > 1000:", "if False:", "verify's bound cap dropped"),
 ]
 
 

@@ -115,6 +115,9 @@ class TestVerifyWorkers:
         monkeypatch.setattr(os, "fork", no_fork, raising=False)
         assert main(["verify", "1"]) == 2
         assert capsys.readouterr().err == "brieskorn: bound must be at least 2, got 1\n"
+        # the cap, checked before the pair list is built
+        assert main(["verify", "1001"]) == 2
+        assert capsys.readouterr().err == "brieskorn: bound must be at most 1000, got 1001\n"
         with pytest.raises(ValueError, match="^jobs must be at least 1, got 0$"):
             verify.run_all(8, jobs=0)
 

@@ -1,10 +1,37 @@
+import re
+from itertools import combinations_with_replacement, starmap
+
 import pytest
 from triples import GOLDEN, off_golden, triples
 
 from brieskorn.errors import InternalCheckError
 from brieskorn.filtration import colength_drop_oracle, normal_hilbert_coefficients, q_sequence
 from brieskorn.genus import geometric_genus
-from brieskorn.ring import new_triple
+from brieskorn.ring import BrieskornPair, new_triple
+
+# every pair up to 40, and pairs whose runs n_{k-1} <= n < n_k are long (b >> a) or many
+REFERENCE_PAIRS = [
+    *starmap(BrieskornPair, combinations_with_replacement(range(2, 41), 2)),
+    *starmap(BrieskornPair, [(2, 999), (3, 1000), (7, 997), (40, 1000), (500, 700)]),
+]
+
+
+def v_by_formula(p: BrieskornPair) -> tuple[int, ...]:
+    """v_n = max(a - ceil(a(n+1)/b), 0) element by element: the reference of BrieskornPair.v."""
+    return tuple(max(p.a + -p.a * (n + 1) // p.b, 0) for n in range(p.nr + 1))
+
+
+def drop_sums_by_running_sums(v: tuple[int, ...]) -> tuple[int, ...]:
+    """S(n), n = 0..nr+1, from head = sum_{1<=k<=n} k*v_k and tail = sum_{k>n} v_k, one n
+    at a time: the reference of BrieskornPair.drop_sums."""
+    nr = len(v) - 1
+    head, tail = 0, sum(v[1:])
+    sums = []
+    for n in range(nr + 2):
+        if 1 <= n <= nr:
+            head, tail = head + n * v[n], tail - v[n]
+        sums.append(head + n * tail)
+    return tuple(sums)
 
 
 class TestNormalReductionNumber:
@@ -39,6 +66,27 @@ class TestColengthDrop:
     def test_v0_is_a_minus_one(self):
         for t in triples(15):
             assert t.pair.v[0] == t.a - 1
+
+    def test_runs_match_the_per_element_formula(self):
+        for p in REFERENCE_PAIRS:
+            assert p.v == v_by_formula(p), p
+
+    def test_drop_sums_match_the_running_sums(self):
+        for p in REFERENCE_PAIRS:
+            assert p.drop_sums == drop_sums_by_running_sums(v_by_formula(p)), p
+
+    def test_drop_sums_refuse_a_v_off_the_hilbert_coefficients(self, monkeypatch):
+        exact = BrieskornPair.v.func
+
+        def off_at_one(p):
+            # S(1) = e1 - (a - 1) and S(nr + 1) = e2 both see v_1
+            v0, v1, *rest = exact(p)
+            return (v0, v1 + 1, *rest)
+
+        monkeypatch.setattr(BrieskornPair, "v", property(off_at_one))
+        p = BrieskornPair(4, 6)
+        with pytest.raises(InternalCheckError, match=rf"^{re.escape(str(p))}: S\(1\)"):
+            p.drop_sums
 
 
 class TestQSequence:

@@ -1,10 +1,11 @@
 from itertools import product
 from math import comb
 
+from hypothesis import given, strategies as st
 from triples import off_golden, triples
 
 from brieskorn.classify import invariants
-from brieskorn.genus import geometric_genus
+from brieskorn.genus import geometric_genus, geometric_genus_oracle
 from brieskorn.ring import BrieskornTriple, new_triple
 
 
@@ -33,6 +34,15 @@ class TestGeometricGenus:
     def test_golden_large_triple(self):
         # value of the direct t0/t1 lattice loop
         assert geometric_genus(new_triple(500, 700, 900)) == 52145700
+
+    @given(st.data())
+    def test_deep_euclid_ladders_agree_with_the_lattice_loop(self, data):
+        # large first quotients c // b, which neither the walk to 40 nor the brute
+        # force to 9 reaches; the O(ab) loop keeps this cheap
+        a = data.draw(st.integers(2, 8))
+        b = data.draw(st.integers(a, 30))
+        t = BrieskornTriple(a, b, data.draw(st.integers(b, 3000)))
+        assert geometric_genus(t) == geometric_genus_oracle(t)
 
     def test_monotone_in_c(self):
         for a in range(2, 6):

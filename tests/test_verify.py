@@ -38,8 +38,8 @@ def test_q_recursion_suite_catches_a_wrong_drop_sum(monkeypatch):
     target, n = ring.BrieskornPair(4, 6), 2
 
     def off_once(p):
-        # past the pair's own recursion check, and at neither n = 1 (the q(m)
-        # formula) nor n = nr (the p_g bound), so only p_g - S(n) summed term
+        # past the pair's own S(1) and S(nr + 1) guards, and at neither n = 1 (the
+        # q(m) formula) nor n = nr (the p_g bound), so only p_g - S(n) summed term
         # by term can see this
         sums = list(exact(p))
         if p == target:
