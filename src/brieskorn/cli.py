@@ -10,13 +10,19 @@ writes, the tests' oracle.  Keys are sorted so that parsing and re-emitting is
 byte-identical, and a value the outputs never hold is refused.  Scan rows are
 read straight from classify.invariants, in SCAN_COLUMNS order; no CSV cell
 needs quoting.
+
+parse_args reads argv from the COMMANDS table, without argparse, as the argparse
+parser it replaced read it on Python 3.11: unique prefixes of options, --opt=value,
+"--", -3 as a positional, and the last of a repeated option.  The help screens are
+fixed text, HELP, as argparse wrote them at 80 columns; a usage error writes its
+parser's usage block and one "error:" line to stderr, in argparse's words.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import classify, resolution, verify
 from .errors import InternalCheckError
@@ -119,7 +125,7 @@ def _parse_range(spec: str) -> range:
         else:
             lo = hi = int(spec)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"malformed range {spec!r}; expected N or N..M")
+        raise ValueError(f"malformed range {spec!r}; expected N or N..M") from None
     return range(lo, hi + 1)
 
 
@@ -184,80 +190,268 @@ def cmd_verify(args, out) -> int:
     return 1 if failed else 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser, except that a failed write to stdout (--help) raises for main
-    to report, where argparse swallows it; its subparsers share the class."""
+# The help screens, as argparse wrote them on Python 3.11 at 80 columns: the top
+# level's, then each command's.  Each one's first block is its usage, which heads its
+# usage errors.
+HELP = {
+    None: """\
+usage: brieskorn [-h] {invariants,graph,scan,verify} ...
 
-    def _print_message(self, message, file=None):
-        if message and file is not None and file is sys.stdout:
-            file.write(message)
-        else:
-            super()._print_message(message, file)
+Exact invariants of Brieskorn hypersurface singularities x^a + y^b + z^c
+
+positional arguments:
+  {invariants,graph,scan,verify}
+    invariants          report all invariants of one triple
+    graph               emit the resolution dual graph
+    scan                tabulate invariants over exponent ranges
+    verify              run every formula-vs-oracle suite
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "invariants": """\
+usage: brieskorn invariants [-h] [--format {text,json}] [--json] a b c
+
+positional arguments:
+  a
+  b
+  c
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --json
+""",
+    "graph": """\
+usage: brieskorn graph [-h] [--format {dot,json}] [--dot] [--json] a b c
+
+positional arguments:
+  a
+  b
+  c
+
+options:
+  -h, --help           show this help message and exit
+  --format {dot,json}
+  --dot
+  --json
+""",
+    "scan": """\
+usage: brieskorn scan [-h]
+                      [--filter {all,rational,elliptic,boundary,rees_normal}]
+                      [--format {csv,json}] [--json]
+                      a_range b_range c_range
+
+positional arguments:
+  a_range
+  b_range
+  c_range
+
+options:
+  -h, --help            show this help message and exit
+  --filter {all,rational,elliptic,boundary,rees_normal}
+  --format {csv,json}
+  --json
+""",
+    "verify": """\
+usage: brieskorn verify [-h] max
+
+positional arguments:
+  max
+
+options:
+  -h, --help  show this help message and exit
+""",
+}
+
+# Each command's function, its positionals with their converters, and its long
+# options in help order: a choice option, whose dest is its name and whose default is
+# its first choice, or a flag, which sets format to its value.
+COMMANDS = {
+    "invariants": (
+        cmd_invariants, {"a": int, "b": int, "c": int},
+        {"--format": ("text", "json"), "--json": "json"},
+    ),
+    "graph": (
+        cmd_graph, {"a": int, "b": int, "c": int},
+        {"--format": ("dot", "json"), "--dot": "dot", "--json": "json"},
+    ),
+    "scan": (
+        cmd_scan, {"a_range": _parse_range, "b_range": _parse_range, "c_range": _parse_range},
+        {
+            "--filter": ("all", "rational", "elliptic", "boundary", "rees_normal"),
+            "--format": ("csv", "json"),
+            "--json": "json",
+        },
+    ),
+    "verify": (cmd_verify, {"max": int}, {}),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="brieskorn",
-        description="Exact invariants of Brieskorn hypersurface singularities x^a + y^b + z^c",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_inv = sub.add_parser("invariants", help="report all invariants of one triple")
-    p_inv.add_argument("a", type=int)
-    p_inv.add_argument("b", type=int)
-    p_inv.add_argument("c", type=int)
-    p_inv.add_argument("--format", choices=["text", "json"], default="text")
-    p_inv.add_argument("--json", dest="format", action="store_const", const="json")
-    p_inv.set_defaults(func=cmd_invariants)
-
-    p_graph = sub.add_parser("graph", help="emit the resolution dual graph")
-    p_graph.add_argument("a", type=int)
-    p_graph.add_argument("b", type=int)
-    p_graph.add_argument("c", type=int)
-    p_graph.add_argument("--format", choices=["dot", "json"], default="dot")
-    p_graph.add_argument("--dot", dest="format", action="store_const", const="dot")
-    p_graph.add_argument("--json", dest="format", action="store_const", const="json")
-    p_graph.set_defaults(func=cmd_graph)
-
-    p_scan = sub.add_parser("scan", help="tabulate invariants over exponent ranges")
-    p_scan.add_argument("a_range", type=_parse_range)
-    p_scan.add_argument("b_range", type=_parse_range)
-    p_scan.add_argument("c_range", type=_parse_range)
-    p_scan.add_argument(
-        "--filter",
-        choices=["all", "rational", "elliptic", "boundary", "rees_normal"],
-        default="all",
-    )
-    p_scan.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_scan.add_argument("--json", dest="format", action="store_const", const="json")
-    p_scan.set_defaults(func=cmd_scan)
-
-    p_verify = sub.add_parser("verify", help="run every formula-vs-oracle suite")
-    p_verify.add_argument("max", type=int)
-    p_verify.set_defaults(func=cmd_verify)
-
-    return parser
+class UsageError(Exception):
+    """A command line the parser refuses; its str is what main writes to stderr."""
 
 
-_parser: argparse.ArgumentParser | None = None
+def _refused(command, message: str) -> UsageError:
+    """The usage block of command's help, or the top level's for None, and one line."""
+    text = HELP[command]
+    usage = text[: text.index("\n\n") + 1]
+    return UsageError(f"{usage}brieskorn{' ' + command if command else ''}: error: {message}\n")
+
+
+def _is_negative_number(token: str) -> bool:
+    """Whether token is -N or -N.M, in any script's decimal digits (N may be empty in the
+    second), with one newline allowed at its end: a positional, as argparse reads it."""
+    whole, dot, fraction = token[1:].removesuffix("\n").partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return fraction.isdecimal() and (not whole or whole.isdecimal())
+
+
+def _kind(token: str, options: list, command):
+    """How argparse reads token: "A" for a positional, or (option, its explicit value or
+    None), with option None for an unknown one.  options lists -h and --help first."""
+    if token[:1] != "-" or token == "-":
+        return "A"
+    if token in options:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and name in options:
+        return name, value
+    if token[1] == "-":  # a prefix of long options, before any "="
+        matches = [option for option in options if option.startswith(name)]
+        explicit = value if eq else None
+    else:  # -h with the rest of the token as its value, as -hh is -h -h
+        matches, explicit = (["-h"], token[2:]) if token[:2] == "-h" else ([], None)
+    if len(matches) > 1:
+        raise _refused(command, f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], explicit
+    return "A" if _is_negative_number(token) or " " in token else (None, None)
+
+
+def _help(command, option: str, explicit):
+    """The help of command (None: the top level) for -h or --help, given explicit."""
+    if explicit is None:
+        return HELP[command]
+    rest = explicit.lstrip("h") if option == "-h" else explicit  # -hh reads as -h -h
+    if explicit and not rest:
+        return HELP[command]
+    raise _refused(command, f"argument -h/--help: ignored explicit argument {rest!r}")
+
+
+def _read(command, tokens: list, extras: list):
+    """The parsed tokens after the command's name: command, its positionals and options
+    by dest, and func, the cmd_* function that runs it; or its help text.  What no
+    positional or option takes goes to extras."""
+    func, positionals, options = COMMANDS[command]
+    known = ["-h", "--help", *options]
+    kinds = []  # every token is read before any is taken, so a bad prefix is found first
+    for index, token in enumerate(tokens):
+        if token == "--":  # every token after the first "--" is a positional
+            kinds += ["-"] + ["A"] * (len(tokens) - index - 1)
+            break
+        kinds.append(_kind(token, known, command))
+    values = {"command": command, "func": func}
+    for option, choices in options.items():
+        if type(choices) is tuple:
+            values[option[2:]] = choices[0]
+    names = [*positionals]
+    i, n = 0, len(tokens)
+    while i < n:
+        kind = kinds[i]
+        if type(kind) is tuple:
+            option, explicit = kind
+            i += 1
+            if option is None:
+                extras.append(tokens[i - 1])
+                continue
+            if option in ("-h", "--help"):
+                return _help(command, option, explicit)
+            choices = options[option]
+            if type(choices) is str:  # a flag
+                if explicit is not None:
+                    raise _refused(
+                        command, f"argument {option}: ignored explicit argument {explicit!r}"
+                    )
+                values["format"] = choices
+                continue
+            if explicit is None:
+                if i == n or kinds[i] != "A":
+                    raise _refused(command, f"argument {option}: expected one argument")
+                explicit = tokens[i]
+                i += 1
+            if explicit not in choices:
+                raise _refused(command, f"argument {option}: invalid choice: {explicit!r} "
+                                        f"(choose from {', '.join(map(repr, choices))})")
+            values[option[2:]] = explicit
+            continue
+        start = i
+        # each positional left takes the next "A", with a "--" on either side of it
+        while names:
+            j = i + (i < n and kinds[i] == "-")
+            if j >= n or kinds[j] != "A":
+                break
+            name = names.pop(0)
+            convert = positionals[name]
+            try:
+                values[name] = convert(tokens[j])
+            except ValueError as exc:
+                message = f"invalid int value: {tokens[j]!r}" if convert is int else str(exc)
+                raise _refused(command, f"argument {name}: {message}") from None
+            i = j + 1 + (j + 1 < n and kinds[j + 1] == "-")
+        if i == start:  # no positional left to take them, up to the next option
+            while i < n and type(kinds[i]) is not tuple:
+                extras.append(tokens[i])
+                i += 1
+    if names:
+        raise _refused(command, f"the following arguments are required: {', '.join(names)}")
+    return SimpleNamespace(**values)
+
+
+def parse_args(argv):
+    """argv read left to right as argparse reads it, with unique prefixes of options,
+    --opt=value, "--", -3 as a positional and the last of a repeated option: the parsed
+    command line, or the help text of the parser reached at -h or --help.  A refused argv
+    raises UsageError with argparse's wording."""
+    tokens, extras, i = [*argv], [], 0
+    while i < len(tokens) and tokens[i] != "--":
+        kind = _kind(tokens[i], ["-h", "--help"], None)
+        if kind == "A":  # the command
+            break
+        option, explicit = kind
+        if option is not None:
+            return _help(None, option, explicit)
+        extras.append(tokens[i])
+        i += 1
+    if i + (tokens[i:i + 1] == ["--"]) >= len(tokens):  # nothing, or only "--", is left
+        raise _refused(None, "the following arguments are required: command")
+    command = tokens[i]
+    if command not in COMMANDS:
+        raise _refused(None, f"argument command: invalid choice: {command!r} "
+                             f"(choose from {', '.join(map(repr, COMMANDS))})")
+    args = _read(command, tokens[i + 1:], extras)
+    if extras and type(args) is not str:
+        raise _refused(None, f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
-    global _parser
     if sys.stdout is None:  # started with file descriptor 1 closed
         print("brieskorn: stdout is closed", file=sys.stderr)
         return 1
-    if _parser is None:  # built on first use, not at import, and reused after
-        _parser = build_parser()
     try:
-        try:
-            args = _parser.parse_args(argv)
-        except SystemExit:  # --help, or a usage error: its text, too, is flushed here
-            sys.stdout.flush()
-            raise
-        code = args.func(args, sys.stdout)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if type(args) is str:  # -h or --help: the help of the parser reached
+            sys.stdout.write(args)
+            code = 0
+        else:
+            code = args.func(args, sys.stdout)
         sys.stdout.flush()  # so a closed or full stdout fails here, not at exit
         return code
+    except UsageError as exc:
+        sys.stderr.write(str(exc))
+        return 2
     except OSError as exc:
         print(f"brieskorn: {exc}", file=sys.stderr)
         # what stdout still buffers would fail again when the interpreter flushes it

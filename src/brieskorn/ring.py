@@ -30,7 +30,7 @@ from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate, chain, repeat
 from math import comb
-from operator import sub
+from operator import floordiv, sub
 
 from .errors import InternalCheckError
 
@@ -54,7 +54,7 @@ class BrieskornPair(namedtuple("BrieskornPair", "a b")):
     @cached_property
     def n_seq(self) -> tuple[int, ...]:
         """n_k = floor(k*b/a) for k = 0..a-1; strictly increasing from k = 1 on."""
-        return tuple(k * self.b // self.a for k in range(self.a))
+        return tuple(map(floordiv, range(0, self.a * self.b, self.b), repeat(self.a)))
 
     @cached_property
     def nr(self) -> int:  # nr(m) = br(m) = n_{a-1}
@@ -85,7 +85,7 @@ class BrieskornPair(namedtuple("BrieskornPair", "a b")):
     @cached_property
     def hilbert(self) -> tuple[int, int, int]:
         """(e0_bar, e1_bar, e2_bar) = (a, sum_k n_k, sum_k C(n_k, 2)), in O(a)."""
-        return (self.a, sum(self.n_seq), sum(comb(nk, 2) for nk in self.n_seq))
+        return (self.a, sum(self.n_seq), sum(map(comb, self.n_seq, repeat(2))))
 
     @cached_property
     def staircases(self) -> tuple[StaircaseIdeal, ...]:

@@ -32,7 +32,8 @@ MUTANTS = [
     ("M1", R, "min(self.b * k, self.c", "max(self.b * k, self.c", "expansion degrees max for min"),
     ("M2", R, "(*chain.from_iterable(runs), 0)", "(self.a, *chain.from_iterable(runs))",
      "v shifted by one: v_n read at n - 1"),
-    ("M3", R, "comb(nk, 2) for nk", "comb(nk + 1, 2) for nk", "e2 sums C(n_k + 1, 2)"),
+    ("M3", R, "map(comb, self.n_seq, repeat(2))", "(comb(nk + 1, 2) for nk in self.n_seq)",
+     "e2 sums C(n_k + 1, 2)"),
     ("M4", R, "max(n - nk, 0) for nk in p.n_seq",
      "max(n - nk, 0) + (nk == p.n_seq[-1]) for nk in p.n_seq", "last staircase threshold + 1"),
     ("M5", R, "BrieskornPair._make = ", "", "BrieskornPair._make not rebound"),
@@ -60,14 +61,16 @@ MUTANTS = [
     ("M26", V, "if not status and i >=", "if i >=", "a nonzero status after a full share"),
     ("M27", CLI, "except KeyboardInterrupt:", "except ZeroDivisionError:", "no Ctrl-C handler"),
     ("M28", F, "if pg < sums[-1]:", "if False:", "the q >= 0 guard dropped"),
-    ("M29", CLI, "parser = _Parser(", "parser = argparse.ArgumentParser(",
-     "argparse swallows a failed write of the help"),
+    ("M29", CLI, "            sys.stdout.write(args)\n",
+     "            try:\n                sys.stdout.write(args)\n            except OSError:\n"
+     "                pass\n", "a failed write of the help is swallowed"),
     ("M30", "perfbench/reference.json", '7,"9440bfe78e7a9f8d"', '7,"9440bfe78e7a9f8e"',
      "a wrong digest: the digest tests read the reference file"),
     ("M31", CLI, "if sys.stdout is None:", "if False:", "no check for a closed fd 1 at start"),
     ("M32", R, "if got != expected:", "if False:", "the S(1) and S(nr + 1) guard dropped"),
     ("M33", G, "ladder, m, x = [], b, c", "ladder, m, x = [], c, b", "the ladder on (c, b)"),
     ("M34", V, "if bound > 1000:", "if False:", "verify's bound cap dropped"),
+    ("M35", CLI, "if len(matches) > 1:", "if False:", "an ambiguous prefix takes its first match"),
 ]
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import errno
 import hashlib
@@ -10,19 +11,19 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import brieskorn
 from brieskorn import cli, filtration, genus, resolution, verify
-from brieskorn.cli import build_parser, main
+from brieskorn.cli import cmd_graph, cmd_invariants, cmd_scan, cmd_verify, main
 from brieskorn.errors import InternalCheckError
 
 
 def run_cli(argv):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = cli.parse_args(argv)
     out = io.StringIO()
     code = args.func(args, out)
     return code, out.getvalue()
@@ -230,12 +231,18 @@ class TestVerifyWorkers:
     def test_importing_the_cli_imports_no_multiprocessing(self):
         # nor dataclasses, which with the inspect it imports costs more than
         # the rest of the package; records are named tuples; nor json, as cli
-        # writes its own
+        # writes its own; nor argparse and the gettext it imports, as cli reads
+        # its own argv, on import and after a command or a help screen alike
         probe = (
-            "import sys, brieskorn.cli; print([m for m in sys.modules if 'multipro' in m"
-            " or m in ('dataclasses', 'inspect', 'json', 'json.encoder', '_json')])"
+            "import sys, brieskorn.cli as cli; loaded = lambda: [m for m in sys.modules if"
+            " 'multipro' in m or m in ('dataclasses', 'inspect', 'json', 'json.encoder',"
+            " '_json', 'argparse', 'gettext')]; seen = [loaded()]; "
+            "cli.main(['invariants', '3', '4', '7']); seen.append(loaded()); "
+            "cli.main(['scan', '--help']); seen.append(loaded()); print(seen, file=sys.stderr)"
         )
-        assert run_python("-c", probe).stdout == "[]\n"
+        run = run_python("-c", probe)
+        assert (run.returncode, run.stderr) == (0, "[[], [], []]\n")
+        assert run.stdout.startswith("triple: (3, 4, 7)\n")
 
     def test_a_piped_report_prints_once_and_warns_nothing(self):
         # verify 8 on two forked workers under -W error: no buffer a fork copied
@@ -346,42 +353,197 @@ class TestInterrupt:
                 time.sleep(0.01)
 
 
-class TestParserReuse:
-    CALLS = [
-        ["invariants", "3", "4", "7", "--json"],
-        ["scan", "2", "3..4", "5..6"],
-        ["scan", "2", "x..3", "4"],
-        ["invariants", "3", "4", "7", "--json"],
-    ]
+def _parse_range(spec: str) -> range:
+    """cli._parse_range, refusing as ArgumentTypeError, whose message argparse writes as
+    it is, as the parser's own type did."""
+    try:
+        return cli._parse_range(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
-    @staticmethod
-    def outcome(capsys, argv):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
 
-    def test_reused_parser_matches_a_fresh_one(self, monkeypatch, capsys):
-        builds = []
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser that cli.parse_args replaced: its reference."""
+    parser = argparse.ArgumentParser(
+        prog="brieskorn",
+        description="Exact invariants of Brieskorn hypersurface singularities x^a + y^b + z^c",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
 
-        def counted_build():
-            builds.append(None)
-            return build_parser()
+    p_inv = sub.add_parser("invariants", help="report all invariants of one triple")
+    p_inv.add_argument("a", type=int)
+    p_inv.add_argument("b", type=int)
+    p_inv.add_argument("c", type=int)
+    p_inv.add_argument("--format", choices=["text", "json"], default="text")
+    p_inv.add_argument("--json", dest="format", action="store_const", const="json")
+    p_inv.set_defaults(func=cmd_invariants)
 
-        monkeypatch.setattr(cli, "build_parser", counted_build)
-        monkeypatch.setattr(cli, "_parser", None)
-        reused = [self.outcome(capsys, argv) for argv in self.CALLS]
-        assert len(builds) == 1
-        fresh = []
-        for argv in self.CALLS:
-            monkeypatch.setattr(cli, "_parser", None)
-            fresh.append(self.outcome(capsys, argv))
-        assert [code for code, _, _ in reused] == [0, 0, 2, 0]
-        assert reused == fresh
-        assert reused[3] == reused[0]
-        assert reused[2][2].startswith("usage: brieskorn scan")
+    p_graph = sub.add_parser("graph", help="emit the resolution dual graph")
+    p_graph.add_argument("a", type=int)
+    p_graph.add_argument("b", type=int)
+    p_graph.add_argument("c", type=int)
+    p_graph.add_argument("--format", choices=["dot", "json"], default="dot")
+    p_graph.add_argument("--dot", dest="format", action="store_const", const="dot")
+    p_graph.add_argument("--json", dest="format", action="store_const", const="json")
+    p_graph.set_defaults(func=cmd_graph)
+
+    p_scan = sub.add_parser("scan", help="tabulate invariants over exponent ranges")
+    p_scan.add_argument("a_range", type=_parse_range)
+    p_scan.add_argument("b_range", type=_parse_range)
+    p_scan.add_argument("c_range", type=_parse_range)
+    p_scan.add_argument(
+        "--filter",
+        choices=["all", "rational", "elliptic", "boundary", "rees_normal"],
+        default="all",
+    )
+    p_scan.add_argument("--format", choices=["csv", "json"], default="csv")
+    p_scan.add_argument("--json", dest="format", action="store_const", const="json")
+    p_scan.set_defaults(func=cmd_scan)
+
+    p_verify = sub.add_parser("verify", help="run every formula-vs-oracle suite")
+    p_verify.add_argument("max", type=int)
+    p_verify.set_defaults(func=cmd_verify)
+
+    return parser
+
+
+REFERENCE = build_parser()
+
+
+def reference_outcome(argv):
+    """What argparse makes of argv at 80 columns: the parsed values, or its exit code and
+    what it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out):
+        with contextlib.redirect_stderr(err):
+            try:
+                return vars(REFERENCE.parse_args(argv))
+            except SystemExit as exc:
+                return exc.code, out.getvalue(), err.getvalue()
+
+
+def outcome(argv):
+    """The same for cli: the parsed values, or, when there is no command to run, main's
+    exit code and what it wrote to stdout and stderr."""
+    try:
+        args = cli.parse_args(argv)
+        if type(args) is not str:
+            return vars(args)
+    except cli.UsageError:
+        pass
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        return main(argv), out.getvalue(), err.getvalue()
+
+
+# argv tokens: ints and ranges, the first three valid and drawn more often; every
+# option, with its unique and its ambiguous prefixes in each command; option values
+INT_TOKENS = ["2", "3", "7", "12", "0", "+7", "7_0", "٧", "-3", "x", "3.5", ""]  # ٧ is 7
+RANGE_TOKENS = ["2", "3..4", "2..12", "x..3", "-3..5", "5..3", "..3", "3..x"]
+OPTION_TOKENS = [
+    "--format", "--form", "--fo", "--f", "--filter", "--fi", "--json", "--js", "--j",
+    "--dot", "--d", "--help", "--he", "--h", "-h", "--format=json", "--json=1", "--x",
+]
+CHOICE_TOKENS = ["json", "text", "csv", "dot", "all", "elliptic", "rees_normal", "xml"]
+
+
+@st.composite
+def argvs(draw):
+    """An option or "--" before the command, now and then; a command, an unknown one or
+    none; its positionals, one short or one too many; options with or without a value,
+    and values alone; and at most one "--", all after the command in any order.  A
+    second "--" is left out: argparse keeps a "--" that is a value as [], where cli
+    reads it as "--"."""
+    before = draw(st.sampled_from([[]] * 5 + [[token] for token in [*OPTION_TOKENS, "--"]]))
+    command = draw(st.sampled_from([*cli.COMMANDS] * 2 + ["frobnicate", None]))
+    wanted = 1 if command == "verify" else 3
+    count = draw(st.sampled_from([wanted - 1, wanted, wanted, wanted + 1]))
+    tokens = RANGE_TOKENS if command == "scan" else INT_TOKENS
+    valid = st.sampled_from(tokens[:3])
+    positionals = draw(st.lists((valid | valid | st.sampled_from(tokens)).map(lambda t: [t]),
+                                min_size=count, max_size=count))
+    options = draw(st.lists(
+        st.lists(st.sampled_from(OPTION_TOKENS), min_size=1, max_size=1)
+        | st.tuples(st.sampled_from(OPTION_TOKENS), st.sampled_from(CHOICE_TOKENS)).map(list)
+        | st.lists(st.sampled_from(CHOICE_TOKENS), min_size=1, max_size=1),
+        max_size=2,
+    ))
+    dashes = draw(st.sampled_from([[], [["--"]]]))
+    body = draw(st.permutations(positionals + options + dashes))
+    return [*before, *([command] if command else []), *(token for unit in body for token in unit)]
+
+
+class TestParser:
+    """cli reads argv as the argparse parser it replaced read it, with its help screens
+    and the wording of its usage errors."""
+
+    # argparse in 3.12's and 3.13's later releases reads some argv differently, such as
+    # -h after an ambiguous prefix, which 3.11 refuses; the golden tests below hold there
+    @pytest.mark.skipif(sys.version_info >= (3, 12), reason="the reference is 3.11's argparse")
+    @settings(max_examples=500, deadline=None)
+    @given(argvs())
+    @example(["scan", "2", "2", "2", "--f", "elliptic"])  # an ambiguous prefix
+    @example(["--", "invariants", "3", "4", "7"])  # "--" before the command
+    def test_reads_argv_as_argparse_does(self, argv):
+        expected = reference_outcome(argv)
+        assert outcome(argv) == expected
+        if type(expected) is not dict:  # help, or a refusal with nothing on stdout
+            code, out, _ = expected
+            assert code == 0 and out.startswith("usage: ") or (code, out) == (2, "")
+
+    # sha256 of each screen, as argparse wrote it on Python 3.11 at 80 columns
+    HELP = {
+        "": "a56a72b58239b115",
+        "invariants": "29247dc65713f36d",
+        "graph": "33c134df57f1d8c6",
+        "scan": "5a75ad0c78c570d8",
+        "verify": "06b4d999e0d3bfba",
+    }
+
+    @pytest.mark.parametrize("command", [*HELP])
+    def test_help_screens(self, capsys, command):
+        assert main([*command.split(), "--help"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and hashlib.sha256(out.encode()).hexdigest()[:16] == self.HELP[command]
+
+    USAGE = {
+        "": "usage: brieskorn [-h] {invariants,graph,scan,verify} ...\n",
+        "invariants": "usage: brieskorn invariants [-h] [--format {text,json}] [--json] a b c\n",
+        "graph": "usage: brieskorn graph [-h] [--format {dot,json}] [--dot] [--json] a b c\n",
+        "scan": "usage: brieskorn scan [-h]\n"
+                + " " * 22 + "[--filter {all,rational,elliptic,boundary,rees_normal}]\n"
+                + " " * 22 + "[--format {csv,json}] [--json]\n"
+                + " " * 22 + "a_range b_range c_range\n",
+        "verify": "usage: brieskorn verify [-h] max\n",
+    }
+
+    # argv, the parser that refuses it ("" is the top level) and its one line
+    @pytest.mark.parametrize("argv, command, message", [
+        ("invariants 3 x 7", "invariants", "argument b: invalid int value: 'x'"),
+        ("scan 2 x..3 4", "scan", "argument b_range: malformed range 'x..3'; expected N or N..M"),
+        ("invariants 3 4", "invariants", "the following arguments are required: c"),
+        ("verify", "verify", "the following arguments are required: max"),
+        ("graph 2 3 5 --format svg", "graph",
+         "argument --format: invalid choice: 'svg' (choose from 'dot', 'json')"),
+        ("frobnicate 3", "", "argument command: invalid choice: 'frobnicate' "
+                             "(choose from 'invariants', 'graph', 'scan', 'verify')"),
+        ("", "", "the following arguments are required: command"),
+        ("--json verify 8 9 --x", "", "unrecognized arguments: --json 9 --x"),
+        ("invariants 3 4 7 --json=1", "invariants",
+         "argument --json: ignored explicit argument '1'"),
+        ("scan 2 2 2 --f json", "scan", "ambiguous option: --f could match --filter, --format"),
+        ("scan 2 2 2 --format", "scan", "argument --format: expected one argument"),
+    ])
+    def test_a_usage_error_writes_the_usage_and_one_line(self, capsys, argv, command, message):
+        assert main(argv.split()) == 2
+        prog = f"brieskorn {command}".strip()
+        assert capsys.readouterr() == ("", f"{self.USAGE[command]}{prog}: error: {message}\n")
+
+    def test_an_int_may_have_a_sign_and_any_scripts_digits(self, capsys):
+        assert main(["invariants", "+3", "4", "٧", "--json"]) == 0  # U+0667 is 7
+        spelled = capsys.readouterr()
+        assert main(["invariants", "3", "4", "7", "--json"]) == 0
+        assert capsys.readouterr() == spelled
 
 
 class TestReferenceDigests:
@@ -395,10 +557,9 @@ class TestReferenceDigests:
 
     @staticmethod
     def mismatches(runs):
-        parser = build_parser()
         wrong = []
         for argv, digest in runs:
-            args = parser.parse_args(argv)
+            args = cli.parse_args(argv)
             out = io.StringIO()
             assert args.func(args, out) == 0, argv
             if hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] != digest:
@@ -664,9 +825,8 @@ class TestClosedOutput:
             assert (run.returncode, run.stderr) == (1, "brieskorn: stdout is closed\n")
 
     def test_help_into_a_closed_pipe_exits_1_with_one_line(self, unbuffered):
-        # buffered, argparse writes the help into stdout's buffer and exits, and main
-        # flushes it; unbuffered, the parser's own write fails, and cli's parser raises
-        # the error where argparse's swallows it
+        # buffered, main writes the help into stdout's buffer and its flush fails;
+        # unbuffered, the write itself fails
         assert self.into_a_closed_pipe(unbuffered, "scan", "--help") == self.EPIPE
         run = run_to(subprocess.PIPE, unbuffered, "scan", "--help")
         assert (run.returncode, run.stderr) == (0, "")
