@@ -80,7 +80,7 @@ def boundary_family_nr(t: BrieskornTriple) -> int | None:
 
 def invariants(t: BrieskornTriple) -> Invariants:
     """The record of t, kept by t once built: q(n*m) and p_f, once each from the
-    lattice count p_g, and both classification paths checked.
+    closed-form p_g, and both classification paths checked.
 
     nr(A) = nr(m) exactly when p_g < C(nr+1, 2), which covers every member of
     the boundary list: there p_g = C(nr, 2) and, as checked here, nr(A) = nr.

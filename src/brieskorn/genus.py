@@ -1,51 +1,66 @@
-"""Geometric genus by lattice-point counting, and the c-free tail of q(m).
+"""Geometric genus in closed form, its lattice-point oracle, and the c-free tail of q(m).
 
-p_g equals the number of nonnegative integer triples (t0, t1, t2) with
-q0*t0 + q1*t1 + q2*t2 <= D - q0 - q1 - q2, where (q0, q1, q2) = (bc, ac, ab)
-are the weights of x, y, z and D = abc.  geometric_genus loops over t0 only,
-at most a - 1 terms: the floors nest, so each term counts c*t1 + b*t2 <= s with
-s = floor(r0/a), a floor sum over t1.  Its Euclid-style recurrence steps down
-one ladder on (b, c), built once per triple, so the count costs O(a log b).
-The direct loop over t0 and t1 is kept as geometric_genus_oracle and compared
-against it in verify.suite_pg_bound.  q(m) = p_g minus the c-free tail sum q_of_m_tail of a
-pair; verify.suite_q_recursion checks q_1 against that tail, once per pair, and
-the triple's one p_g.  The reports read q(m) as q_1 of the record's q(n*m)
-(classify.Invariants.q), built from that same p_g.
+geometric_genus reads p_g off Laufer's formula 1 + mu = chi(E) + K^2 + 12 p_g
+(Laufer, "On mu for surface singularities", 1977) on the Seifert star that
+resolution.seifert_data builds, with mu = (a-1)(b-1)(c-1) the Milnor number,
+but from gcds of (a, b, c) alone, building no record.  Take each exponent x
+with the other two y, z: m = gcd(y, z) copies of a chain with alpha = x/d and
+lambda = lcm(y, z)/d, where d = gcd(x, lcm(y, z)).  With P = abc and
+l = lcm(a, b, c) = alpha lcm(y, z), G = P/l = m d on every leg, the central
+genus has 2g - 2 = G - sum m, and the orbifold Euler number is e = -P/l^2.
+K^2 is summed per chain, and each chain's sum of (b_j - 3) collapses, by the
+Hirzebruch-Zagier identity, into the Dedekind sum s(lambda, alpha)
+(numtheory.dedekind_sum_12k).  With C = l (2g - 2 + sum m (1 - 1/alpha)),
+which is P - sum m l/alpha = abc - bc - ac - ab, this reads
+
+  12 P p_g = (mu + 1 + 3 (G - sum m)) P + G^2 + C^2 - sum m (P/alpha) 12 alpha s(lambda, alpha),
+
+in integers, over the three exponents.  A chain with alpha <= 2 adds no
+Dedekind sum, as s(1, 2) = 0.  That is O(log c) steps, and it reads neither
+the weights nor the a-invariant of t.  p_g is an integer, so a right side that
+12 P does not divide raises InternalCheckError.
+The tests check the identity with K solved on the expanded star, and keep an
+O(a log b) Euclid-ladder count as a second oracle.  The first, the direct loop
+over the lattice points of the weighted simplex, (t0, t1, t2) >= 0 with
+bc t0 + ac t1 + ab t2 <= abc - bc - ac - ab, is kept as geometric_genus_oracle
+and compared against it in verify.suite_pg_bound.  q(m) = p_g minus the c-free
+tail sum q_of_m_tail of a pair; verify.suite_q_recursion checks q_1 against
+that tail, once per pair, and the triple's one p_g.  The reports read q(m) as
+q_1 of the record's q(n*m) (classify.Invariants.q), built from that same p_g.
 """
 
 from __future__ import annotations
 
+from math import gcd
+
+from .errors import InternalCheckError
+from .numtheory import dedekind_sum_12k
 from .ring import BrieskornPair, BrieskornTriple
 
 
 def geometric_genus(t: BrieskornTriple) -> int:
-    """Exact count of lattice points in the weighted simplex, 0 if a(B) < 0; kept by t."""
+    """p_g by Laufer's formula in closed form (module docstring), 0 if a(B) < 0; kept by t."""
     if "geometric_genus" in t.__dict__:
         return t.__dict__["geometric_genus"]
     a, b, c = t
-    # the floor-sum recurrence's steps (m, x mod m, x // m) on (b, c) do not read
-    # the offset or the count: Euclid's ladder, one per triple
-    ladder, m, x = [], b, c
-    while m:
-        ladder.append((m, x % m, x // m))
-        m, x = x % m, m
-    total = 0
-    for r0 in range(t.a_invariant, -1, -t.q0):  # r0 = bound - q0*t0; empty if bound < 0
-        # #{(t1, t2) >= 0 : c*t1 + b*t2 <= s}, as floor(r0/(ab)) = floor(floor(r0/a)/b):
-        # the sum over t1 < n of floor((s - c*t1)/b) + 1, with t1 -> n - 1 - t1
-        s = r0 // a
-        n, y = s // c + 1, s % c
-        total += n
-        for m, r, q in ladder:  # sum_{i<n} floor((x*i + y)/m), x = q*m + r
-            qy = y // m  # without divmod, whose call costs more than two operators
-            total += q * (n * (n - 1) // 2) + qy * n
-            y += r * n - qy * m
-            if y < m:
-                break
-            n = y // m
-            y -= n * m
-    t.__dict__["geometric_genus"] = total
-    return total
+    P = a * b * c
+    C = P - b * c - a * c - a * b  # l (2g - 2 + sum m (1 - 1/alpha))
+    copies = dedekind = 0
+    for x, y, z in ((a, b, c), (b, a, c), (c, a, b)):
+        m = gcd(y, z)
+        L = y // m * z
+        d = gcd(x, L)
+        alpha = x // d
+        copies += m
+        if alpha > 2:
+            dedekind += m * (P // alpha) * dedekind_sum_12k(L // d % alpha, alpha)
+    G = m * d  # abc / lcm(a, b, c), the same on every leg
+    numerator = ((a - 1) * (b - 1) * (c - 1) + 1 + 3 * (G - copies)) * P + G * G + C * C
+    pg, remainder = divmod(numerator - dedekind, 12 * P)
+    if remainder:
+        raise InternalCheckError(f"{t}: 12 abc does not divide Laufer's numerator for p_g")
+    t.__dict__["geometric_genus"] = pg
+    return pg
 
 
 def geometric_genus_oracle(t: BrieskornTriple) -> int:

@@ -211,7 +211,7 @@ def _certificates(t: ring.BrieskornTriple, result: SuiteResult, _) -> None:
 
 
 def _pg_bound(t: ring.BrieskornTriple, result: SuiteResult, _) -> None:
-    """The Euclid-ladder p_g vs the direct lattice loop; only where they agree, a second
+    """p_g by Laufer's formula vs the direct lattice loop; only where they agree, a second
     check, read from the record: p_g >= C(nr, 2) + q(nr * m)."""
     result.checks += 1
     pg = genus.geometric_genus(t)

@@ -37,9 +37,7 @@ MUTANTS = [
     ("M4", R, "max(n - nk, 0) for nk in p.n_seq",
      "max(n - nk, 0) + (nk == p.n_seq[-1]) for nk in p.n_seq", "last staircase threshold + 1"),
     ("M5", R, "BrieskornPair._make = ", "", "BrieskornPair._make not rebound"),
-    ("M6", G, "total += n\n        for", "for", "the p_g count drops + n"),
     ("M7", G, "range(1, p.a)) - (p.a - 1)", "range(1, p.a)) - (p.a - 2)", "q(m) tail - (a - 2)"),
-    ("M8", G, "q * (n * (n - 1) // 2)", "q * (n * (n + 1) // 2)", "the p_g ladder with n(n + 1)/2"),
     ("M9", N, "return (-inverse) % alpha", "return inverse % alpha", "the inverse not negated"),
     ("M10", Z, "lcms = (lcm(t.b, t.c),", "lcms = (t.b,", "alpha_1 = a/gcd(a, b)"),
     ("M11", Z, "    x = 1\n    while True:", "    x = 2\n    while True:", "x-search starts at 2"),
@@ -68,9 +66,15 @@ MUTANTS = [
      "a wrong digest: the digest tests read the reference file"),
     ("M31", CLI, "if sys.stdout is None:", "if False:", "no check for a closed fd 1 at start"),
     ("M32", R, "if got != expected:", "if False:", "the S(1) and S(nr + 1) guard dropped"),
-    ("M33", G, "ladder, m, x = [], b, c", "ladder, m, x = [], c, b", "the ladder on (c, b)"),
     ("M34", V, "if bound > 1000:", "if False:", "verify's bound cap dropped"),
     ("M35", CLI, "if len(matches) > 1:", "if False:", "an ambiguous prefix takes its first match"),
+    ("M36", G, "(c - 1) + 1 + 3", "(c - 1) + 3", "Laufer's p_g without the + 1"),
+    ("M37", N, "+ h + u % k", "+ h + -u % k", "12k s(h, k) with -h' for h'"),
+    ("M38", G, "dedekind += m * (P // alpha)", "dedekind += (P // alpha)",
+     "the Dedekind sums without their copies m"),
+    ("M39", G, "if remainder:", "if False:", "the 12 abc divisibility guard dropped"),
+    ("M40", N, "if not 0 < h < k:", "if False:", "12k s(h, k) takes h outside 0 < h < k"),
+    ("M41", N, "if num != 1:", "if False:", "12k s(h, k) takes h and k with a common factor"),
 ]
 
 

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from brieskorn.numtheory import hj_expand, mod_inverse_negation
+from brieskorn.numtheory import dedekind_sum_12k, hj_expand, mod_inverse_negation
 
 
 def hj_evaluate(expansion) -> Fraction:
@@ -82,3 +82,38 @@ def test_mod_inverse_negation_property(lam, alpha):
     beta = mod_inverse_negation(lam, alpha)
     assert 0 <= beta < alpha or (alpha == 1 and beta == 0)
     assert (lam * beta + 1) % alpha == 0
+
+
+def sawtooth(x: Fraction) -> Fraction:
+    """((x)) = x - floor(x) - 1/2 off the integers, 0 on them."""
+    return Fraction(0) if x.denominator == 1 else x - x.numerator // x.denominator - Fraction(1, 2)
+
+
+def dedekind_sum(h: int, k: int) -> Fraction:
+    """s(h, k) by its definition, the sum over r = 1..k-1 of ((r/k)) ((hr/k))."""
+    return sum((sawtooth(Fraction(r, k)) * sawtooth(Fraction(h * r, k)) for r in range(1, k)),
+               Fraction(0))
+
+
+COPRIME_TO_60 = [(h, k) for k in range(2, 61) for h in range(1, k) if gcd(h, k) == 1]
+
+
+def test_dedekind_sum_12k_is_the_sawtooth_sum():
+    assert len(COPRIME_TO_60) == 1101
+    assert [
+        (h, k) for h, k in COPRIME_TO_60 if dedekind_sum_12k(h, k) != 12 * k * dedekind_sum(h, k)
+    ] == []
+
+
+def test_dedekind_sum_12k_reads_the_hj_expansion_off_the_regular_one():
+    # Hirzebruch-Zagier: 12k s(h, k) = k sum_j (b_j - 3) + h + h', with h h' == 1 (mod k)
+    assert [
+        (h, k) for h, k in COPRIME_TO_60
+        if dedekind_sum_12k(h, k) - h - pow(h, -1, k) != k * sum(b - 3 for b in hj_expand(k, h))
+    ] == []
+
+
+def test_dedekind_sum_12k_rejects_bad_input():
+    for h, k in [(0, 5), (5, 5), (-1, 5), (6, 5), (2, 4), (6, 9)]:
+        with pytest.raises(ValueError):
+            dedekind_sum_12k(h, k)
