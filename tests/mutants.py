@@ -75,6 +75,10 @@ MUTANTS = [
     ("M39", G, "if remainder:", "if False:", "the 12 abc divisibility guard dropped"),
     ("M40", N, "if not 0 < h < k:", "if False:", "12k s(h, k) takes h outside 0 < h < k"),
     ("M41", N, "if num != 1:", "if False:", "12k s(h, k) takes h and k with a common factor"),
+    ("M42", V, "sched_setaffinity(0, cores[w % len(cores)::jobs])", "sched_setaffinity(0, cores)",
+     "every worker placed on every usable core"),
+    ("M43", V, "except OSError:\n            pass", "except ZeroDivisionError:\n            pass",
+     "a refused placement ends the worker"),
 ]
 
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -225,6 +226,44 @@ class TestVerifyWorkers:
             InternalCheckError, match=f"^verify worker 0 of 2 died: wait status {3 << 8}$"
         ):
             verify._forked(lambda x: (x, []), list(range(10)), 2)
+        with pytest.raises(ChildProcessError):  # every worker is reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="verify forks no worker")
+    @pytest.mark.parametrize("cores, jobs, placed", [
+        (4, 2, [[0, 2], [1, 3]]), (2, 3, [[0], [1], [0]]),
+    ], ids=["4-cores-2-jobs", "2-cores-3-jobs"])
+    def test_each_worker_runs_on_its_share_of_the_cores(self, monkeypatch, cores, jobs, placed):
+        # the forked workers inherit the recorder; worker w's one row is what it recorded
+        usable_cores(monkeypatch, cores)
+        recorded = []
+        monkeypatch.setattr(
+            os, "sched_setaffinity", lambda pid, mask: recorded.append([pid, sorted(mask)]),
+            raising=False,
+        )
+        rows = verify._forked(lambda w: recorded, list(range(jobs)), jobs)
+        assert rows == [[[0, mask]] for mask in placed]
+        assert recorded == []  # the parent stays where it was
+        with pytest.raises(ChildProcessError):  # every worker is reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="verify forks no worker")
+    @pytest.mark.parametrize("refused", [True, False], ids=["refused", "no-affinity-call"])
+    def test_a_worker_that_cannot_be_placed_walks_its_share_unplaced(self, monkeypatch, refused):
+        # a refused placement (a core gone, a sandbox) and an os without the call alike
+        # leave the worker where the scheduler put it: same rows, and no worker dies
+        row = partial(verify._row, 8, list(verify._SUITES))
+        pairs = [(a, b) for a in range(2, 9) for b in range(a, 9)]
+        in_process = list(map(row, pairs))
+        usable_cores(monkeypatch, 2)
+        if refused:
+            def refuse(pid, mask):
+                raise OSError(errno.EINVAL, "injected")
+
+            monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        assert verify._forked(row, pairs, 2) == in_process
         with pytest.raises(ChildProcessError):  # every worker is reaped
             os.waitpid(-1, os.WNOHANG)
 
