@@ -13,9 +13,9 @@ needs quoting.
 
 parse_args reads argv from the COMMANDS table, without argparse, as the argparse
 parser it replaced read it on Python 3.11: unique prefixes of options, --opt=value,
-"--", -3 as a positional, and the last of a repeated option.  The help screens are
-fixed text, HELP, as argparse wrote them at 80 columns; a usage error writes its
-parser's usage block and one "error:" line to stderr, in argparse's words.
+"--", -3 as a positional, and the last of a repeated option.  The help screens are built
+from the same table by argparse's rules at 80 columns, at any terminal width; a usage
+error writes its parser's usage block and one "error:" line to stderr, in argparse's words.
 """
 
 from __future__ import annotations
@@ -190,102 +190,80 @@ def cmd_verify(args, out) -> int:
     return 1 if failed else 0
 
 
-# The help screens, as argparse wrote them on Python 3.11 at 80 columns: the top
-# level's, then each command's.  Each one's first block is its usage, which heads its
-# usage errors.
-HELP = {
-    None: """\
-usage: brieskorn [-h] {invariants,graph,scan,verify} ...
+DESCRIPTION = "Exact invariants of Brieskorn hypersurface singularities x^a + y^b + z^c"
 
-Exact invariants of Brieskorn hypersurface singularities x^a + y^b + z^c
-
-positional arguments:
-  {invariants,graph,scan,verify}
-    invariants          report all invariants of one triple
-    graph               emit the resolution dual graph
-    scan                tabulate invariants over exponent ranges
-    verify              run every formula-vs-oracle suite
-
-options:
-  -h, --help            show this help message and exit
-""",
-    "invariants": """\
-usage: brieskorn invariants [-h] [--format {text,json}] [--json] a b c
-
-positional arguments:
-  a
-  b
-  c
-
-options:
-  -h, --help            show this help message and exit
-  --format {text,json}
-  --json
-""",
-    "graph": """\
-usage: brieskorn graph [-h] [--format {dot,json}] [--dot] [--json] a b c
-
-positional arguments:
-  a
-  b
-  c
-
-options:
-  -h, --help           show this help message and exit
-  --format {dot,json}
-  --dot
-  --json
-""",
-    "scan": """\
-usage: brieskorn scan [-h]
-                      [--filter {all,rational,elliptic,boundary,rees_normal}]
-                      [--format {csv,json}] [--json]
-                      a_range b_range c_range
-
-positional arguments:
-  a_range
-  b_range
-  c_range
-
-options:
-  -h, --help            show this help message and exit
-  --filter {all,rational,elliptic,boundary,rees_normal}
-  --format {csv,json}
-  --json
-""",
-    "verify": """\
-usage: brieskorn verify [-h] max
-
-positional arguments:
-  max
-
-options:
-  -h, --help  show this help message and exit
-""",
-}
-
-# Each command's function, its positionals with their converters, and its long
-# options in help order: a choice option, whose dest is its name and whose default is
-# its first choice, or a flag, which sets format to its value.
+# Each command's function, its one-line summary, its positionals with their converters,
+# and its long options in help order: a choice option, whose dest is its name and whose
+# default is its first choice, or a flag, which sets format to its value.
 COMMANDS = {
     "invariants": (
-        cmd_invariants, {"a": int, "b": int, "c": int},
+        cmd_invariants, "report all invariants of one triple", {"a": int, "b": int, "c": int},
         {"--format": ("text", "json"), "--json": "json"},
     ),
     "graph": (
-        cmd_graph, {"a": int, "b": int, "c": int},
+        cmd_graph, "emit the resolution dual graph", {"a": int, "b": int, "c": int},
         {"--format": ("dot", "json"), "--dot": "dot", "--json": "json"},
     ),
     "scan": (
-        cmd_scan, {"a_range": _parse_range, "b_range": _parse_range, "c_range": _parse_range},
-        {
-            "--filter": ("all", "rational", "elliptic", "boundary", "rees_normal"),
-            "--format": ("csv", "json"),
-            "--json": "json",
-        },
+        cmd_scan, "tabulate invariants over exponent ranges",
+        {"a_range": _parse_range, "b_range": _parse_range, "c_range": _parse_range},
+        {"--filter": ("all", "rational", "elliptic", "boundary", "rees_normal"),
+         "--format": ("csv", "json"), "--json": "json"},
     ),
-    "verify": (cmd_verify, {"max": int}, {}),
+    "verify": (cmd_verify, "run every formula-vs-oracle suite", {"max": int}, {}),
 }
+
+
+def _parts(command):
+    """The options after -h, --help and the positionals that command's help lists (None:
+    the top level's), each as its row names it."""
+    if command is None:
+        return [], ["{" + ",".join(COMMANDS) + "}"]
+    _, _, positionals, options = COMMANDS[command]
+    return [f"{option} {{{','.join(choices)}}}" if type(choices) is tuple else option
+            for option, choices in options.items()], [*positionals]
+
+
+def _usage(command) -> str:
+    """The usage block of command's help (None: the top level's), as argparse writes it
+    at 80 columns: one line if it fits in 78, or else the options filled in greedily
+    after the program's name and at its indent, then the positionals from a new line."""
+    options, positionals = _parts(command)
+    prog = "usage: brieskorn" + (" " + command if command else "")
+    parts = ["[-h]", *(f"[{option}]" for option in options), *positionals, *["..."] * (not command)]
+    wraps = len(" ".join([prog, *parts])) > 78
+    lines = [prog]
+    for i, part in enumerate(parts):  # parts[len(options) + 1] is the first positional
+        if len(lines[-1]) + 1 + len(part) > 78 or wraps and i == len(options) + 1:
+            lines.append(" " * len(prog))
+        lines[-1] += " " + part
+    return "\n".join(lines) + "\n"
+
+
+def _screen(command) -> str:
+    """The help screen of command (None: the top level's), as argparse writes it at 80
+    columns: the usage, the description, then a row for each positional and option, its
+    help from the column min(longest row + 2, 24), or from the next line if the row
+    leaves less than two spaces before that column.  Every command has a positional, and
+    no summary is long enough to wrap."""
+    options, positionals = _parts(command)
+    commands = [(f"    {name}", entry[1]) for name, entry in COMMANDS.items()] * (not command)
+    sections = {
+        "positional arguments": [*((f"  {name}", "") for name in positionals), *commands],
+        "options": [("  -h, --help", "show this help message and exit"),
+                    *((f"  {option}", "") for option in options)],
+    }
+    column = min(max(len(row) for rows in sections.values() for row, _ in rows) + 2, 24)
+    blocks = [_usage(command), *[DESCRIPTION + "\n"] * (not command)]
+    for heading, rows in sections.items():
+        lines = [heading + ":"]
+        for row, text in rows:
+            if text:
+                row = (row.ljust(column) if len(row) + 2 <= column else f"{row}\n{' ' * column}")
+                row += text
+            lines.append(row)
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)
 
 
 class UsageError(Exception):
@@ -294,9 +272,8 @@ class UsageError(Exception):
 
 def _refused(command, message: str) -> UsageError:
     """The usage block of command's help, or the top level's for None, and one line."""
-    text = HELP[command]
-    usage = text[: text.index("\n\n") + 1]
-    return UsageError(f"{usage}brieskorn{' ' + command if command else ''}: error: {message}\n")
+    prog = "brieskorn" + (" " + command if command else "")
+    return UsageError(f"{_usage(command)}{prog}: error: {message}\n")
 
 
 def _is_negative_number(token: str) -> bool:
@@ -332,11 +309,9 @@ def _kind(token: str, options: list, command):
 
 def _help(command, option: str, explicit):
     """The help of command (None: the top level) for -h or --help, given explicit."""
-    if explicit is None:
-        return HELP[command]
-    rest = explicit.lstrip("h") if option == "-h" else explicit  # -hh reads as -h -h
-    if explicit and not rest:
-        return HELP[command]
+    rest = explicit.lstrip("h") if option == "-h" and explicit else explicit  # -hh: -h -h
+    if explicit is None or explicit and not rest:
+        return _screen(command)
     raise _refused(command, f"argument -h/--help: ignored explicit argument {rest!r}")
 
 
@@ -344,7 +319,7 @@ def _read(command, tokens: list, extras: list):
     """The parsed tokens after the command's name: command, its positionals and options
     by dest, and func, the cmd_* function that runs it; or its help text.  What no
     positional or option takes goes to extras."""
-    func, positionals, options = COMMANDS[command]
+    func, _, positionals, options = COMMANDS[command]
     known = ["-h", "--help", *options]
     kinds = []  # every token is read before any is taken, so a bad prefix is found first
     for index, token in enumerate(tokens):

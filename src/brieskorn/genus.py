@@ -3,9 +3,9 @@
 geometric_genus reads p_g off Laufer's formula 1 + mu = chi(E) + K^2 + 12 p_g
 (Laufer, "On mu for surface singularities", 1977) on the Seifert star that
 resolution.seifert_data builds, with mu = (a-1)(b-1)(c-1) the Milnor number,
-but from gcds of (a, b, c) alone, building no record.  Take each exponent x
-with the other two y, z: m = gcd(y, z) copies of a chain with alpha = x/d and
-lambda = lcm(y, z)/d, where d = gcd(x, lcm(y, z)).  With P = abc and
+but from the legs of ring.seifert_legs alone, building no record: for each
+exponent x with the other two y, z, m = gcd(y, z) copies of a chain with alpha =
+x/d and lambda = lcm(y, z)/d, where d = gcd(x, lcm(y, z)).  With P = abc and
 l = lcm(a, b, c) = alpha lcm(y, z), G = P/l = m d on every leg, the central
 genus has 2g - 2 = G - sum m, and the orbifold Euler number is e = -P/l^2.
 K^2 is summed per chain, and each chain's sum of (b_j - 3) collapses, by the
@@ -31,11 +31,9 @@ q_1 of the record's q(n*m) (classify.Invariants.q), built from that same p_g.
 
 from __future__ import annotations
 
-from math import gcd
-
 from .errors import InternalCheckError
 from .numtheory import dedekind_sum_12k
-from .ring import BrieskornPair, BrieskornTriple
+from .ring import BrieskornPair, BrieskornTriple, seifert_legs
 
 
 def geometric_genus(t: BrieskornTriple) -> int:
@@ -46,15 +44,11 @@ def geometric_genus(t: BrieskornTriple) -> int:
     P = a * b * c
     C = P - b * c - a * c - a * b  # l (2g - 2 + sum m (1 - 1/alpha))
     copies = dedekind = 0
-    for x, y, z in ((a, b, c), (b, a, c), (c, a, b)):
-        m = gcd(y, z)
-        L = y // m * z
-        d = gcd(x, L)
-        alpha = x // d
+    for m, alpha, lam in seifert_legs(t):
         copies += m
         if alpha > 2:
-            dedekind += m * (P // alpha) * dedekind_sum_12k(L // d % alpha, alpha)
-    G = m * d  # abc / lcm(a, b, c), the same on every leg
+            dedekind += m * (P // alpha) * dedekind_sum_12k(lam % alpha, alpha)
+    G = m * (c // alpha)  # m d on c's leg: abc / lcm(a, b, c), the same on every leg
     numerator = ((a - 1) * (b - 1) * (c - 1) + 1 + 3 * (G - copies)) * P + G * G + C * C
     pg, remainder = divmod(numerator - dedekind, 12 * P)
     if remainder:

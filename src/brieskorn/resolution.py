@@ -36,7 +36,7 @@ from operator import mul
 
 from .errors import FormulaInapplicableError, InternalCheckError
 from .numtheory import hj_expand, mod_inverse_negation
-from .ring import BrieskornTriple
+from .ring import BrieskornTriple, seifert_legs
 
 
 class SeifertData(
@@ -129,12 +129,8 @@ def seifert_data(t: BrieskornTriple) -> SeifertData:
     once per triple object, which keeps the record (see the module docstring)."""
     if "seifert_data" in t.__dict__:
         return t.__dict__["seifert_data"]
-    exps = (t.a, t.b, t.c)
-    lcms = (lcm(t.b, t.c), lcm(t.a, t.c), lcm(t.a, t.b))
-    alpha = tuple(a_w // gcd(a_w, l_w) for a_w, l_w in zip(exps, lcms))
-    lam = tuple(l_w // gcd(a_w, l_w) for a_w, l_w in zip(exps, lcms))
+    ghat, alpha, lam = zip(*seifert_legs(t))
     beta = tuple(mod_inverse_negation(lam_w, alpha_w) for lam_w, alpha_w in zip(lam, alpha))
-    ghat = (gcd(t.b, t.c), gcd(t.a, t.c), gcd(t.a, t.b))
     ell = lcm(t.a, t.b, t.c)
     ghat_total = t.D // ell
 
@@ -344,7 +340,9 @@ def fundamental_genus_oracle(g: DualGraph) -> int:
 
 
 def _formula_terms(t: BrieskornTriple) -> tuple[int, int, int]:
-    """(lambda_3, alpha_3, alpha_1 alpha_2 alpha_3) from gcds of (a, b, c), as in seifert_data."""
+    """(lambda_3, alpha_3, alpha_1 alpha_2 alpha_3) from gcds of (a, b, c), by its own gcds and
+    not ring.seifert_legs: it is the formula side of verify's formula-vs-adjunction and
+    -Z^2 checks, whose other side is the star built from seifert_data."""
     a, b, c = t.a, t.b, t.c
     ab = lcm(a, b)
     g = gcd(c, ab)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from math import comb
+from math import comb, gcd
 from operator import floordiv, sub
 
 from .errors import InternalCheckError
@@ -135,6 +135,18 @@ class BrieskornTriple(namedtuple("BrieskornTriple", "a b c")):
     @property
     def a_invariant(self) -> int:
         return self.D - self.q0 - self.q1 - self.q2
+
+
+def seifert_legs(t: BrieskornTriple) -> tuple[tuple[int, int, int], ...]:
+    """(m, alpha, lambda) for each exponent x of t in turn, with y and z the other two: the
+    Seifert star has m = gcd(y, z) copies of a chain with alpha = x/d and lambda =
+    lcm(y, z)/d, where d = gcd(x, lcm(y, z)), so that m d = abc / lcm(a, b, c).  Unrolled,
+    as scan reads it for every triple."""
+    a, b, c = t
+    m1, m2, m3 = gcd(b, c), gcd(a, c), gcd(a, b)
+    l1, l2, l3 = b // m1 * c, a // m2 * c, a // m3 * b  # lcm(y, z)
+    d1, d2, d3 = gcd(a, l1), gcd(b, l2), gcd(c, l3)
+    return (m1, a // d1, l1 // d1), (m2, b // d2, l2 // d2), (m3, c // d3, l3 // d3)
 
 
 def new_triple(a: int, b: int, c: int) -> BrieskornTriple:

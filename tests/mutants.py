@@ -39,7 +39,7 @@ MUTANTS = [
     ("M5", R, "BrieskornPair._make = ", "", "BrieskornPair._make not rebound"),
     ("M7", G, "range(1, p.a)) - (p.a - 1)", "range(1, p.a)) - (p.a - 2)", "q(m) tail - (a - 2)"),
     ("M9", N, "return (-inverse) % alpha", "return inverse % alpha", "the inverse not negated"),
-    ("M10", Z, "lcms = (lcm(t.b, t.c),", "lcms = (t.b,", "alpha_1 = a/gcd(a, b)"),
+    ("M10", R, "l1, l2, l3 = b // m1 * c,", "l1, l2, l3 = b,", "alpha_1 = a/gcd(a, b)"),
     ("M11", Z, "    x = 1\n    while True:", "    x = 2\n    while True:", "x-search starts at 2"),
     ("M12", Z, "Cycle(-(mu_ell // e),", "Cycle(-(mu_ell // e) + 1,", "L's center + 1"),
     ("M13", Z, "bound = sum(top) - sum(z)", "bound = sum(top) - sum(z) - 1", "Laufer's bound - 1"),
@@ -79,6 +79,8 @@ MUTANTS = [
      "every worker placed on every usable core"),
     ("M43", V, "except OSError:\n            pass", "except ZeroDivisionError:\n            pass",
      "a refused placement ends the worker"),
+    ("M44", CLI, "rows) + 2, 24)", "rows) + 2, 26)", "the help column capped at 26"),
+    ("M45", CLI, "len(part) > 78", "len(part) > 80", "usage lines filled to 80 columns"),
 ]
 
 

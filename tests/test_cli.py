@@ -401,8 +401,9 @@ def _parse_range(spec: str) -> range:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argparse parser that cli.parse_args replaced: its reference."""
+def build_parser(extend=lambda sub: None) -> argparse.ArgumentParser:
+    """The argparse parser that cli.parse_args replaced: its reference.  extend(sub) may
+    add to it, given its subparsers action, whose choices hold each command's parser."""
     parser = argparse.ArgumentParser(
         prog="brieskorn",
         description="Exact invariants of Brieskorn hypersurface singularities x^a + y^b + z^c",
@@ -443,20 +444,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("max", type=int)
     p_verify.set_defaults(func=cmd_verify)
 
+    extend(sub)
     return parser
 
 
 REFERENCE = build_parser()
 
 
-def reference_outcome(argv):
+def reference_outcome(argv, parser=REFERENCE):
     """What argparse makes of argv at 80 columns: the parsed values, or its exit code and
     what it wrote to stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out):
         with contextlib.redirect_stderr(err):
             try:
-                return vars(REFERENCE.parse_args(argv))
+                return vars(parser.parse_args(argv))
             except SystemExit as exc:
                 return exc.code, out.getvalue(), err.getvalue()
 
@@ -544,6 +546,40 @@ class TestParser:
         assert main([*command.split(), "--help"]) == 0
         out, err = capsys.readouterr()
         assert err == "" and hashlib.sha256(out.encode()).hexdigest()[:16] == self.HELP[command]
+
+    # an entry the table gains, and the reference parser with it: a flag that makes
+    # invariants' usage 80 columns wide, so that a b c start a line; a choice option that
+    # wraps verify's usage and widens its help column; one that makes scan's third usage
+    # line 80 columns wide, so that it starts a fourth; and a command whose name puts its
+    # summary on the next line and makes the top usage 79 columns wide
+    @pytest.mark.skipif(sys.version_info >= (3, 12), reason="the reference is 3.11's argparse")
+    @pytest.mark.parametrize("command, option, value", [
+        ("invariants", "--exact", "json"),
+        ("verify", "--suite", ("all", "oracles", "formulas", "classification")),
+        ("scan", "--precision", ("exact", "float")),
+        ("tabulate-rees-algebras", None, None),
+    ])
+    def test_the_table_is_the_whole_definition(self, monkeypatch, command, option, value):
+        if option is None:
+            summary = "tabulate the Rees algebras of m"
+            monkeypatch.setitem(cli.COMMANDS, command, (cmd_verify, summary, {"max": int}, {}))
+
+            def extend(sub):
+                sub.add_parser(command, help=summary).add_argument("max", type=int)
+        else:
+            func, summary, positionals, options = cli.COMMANDS[command]
+            monkeypatch.setitem(cli.COMMANDS, command,
+                                (func, summary, positionals, {**options, option: value}))
+
+            def extend(sub):
+                parser = sub.choices[command]
+                if type(value) is tuple:
+                    parser.add_argument(option, choices=value, default=value[0])
+                else:
+                    parser.add_argument(option, dest="format", action="store_const", const=value)
+        reference = build_parser(extend)
+        for argv in [["--help"], [command, "--help"], [command]]:
+            assert outcome(argv) == reference_outcome(argv, reference)
 
     USAGE = {
         "": "usage: brieskorn [-h] {invariants,graph,scan,verify} ...\n",
