@@ -24,9 +24,10 @@ O(a log b) Euclid-ladder count as a second oracle.  The first, the direct loop
 over the lattice points of the weighted simplex, (t0, t1, t2) >= 0 with
 bc t0 + ac t1 + ab t2 <= abc - bc - ac - ab, is kept as geometric_genus_oracle
 and compared against it in verify.suite_pg_bound.  q(m) = p_g minus the c-free
-tail sum q_of_m_tail of a pair; verify.suite_q_recursion checks q_1 against
-that tail, once per pair, and the triple's one p_g.  The reports read q(m) as
-q_1 of the record's q(n*m) (classify.Invariants.q), built from that same p_g.
+tail sum q_of_m_tail of a pair; verify.suite_q_recursion checks that tail
+against S(1) summed term by term, once per pair, and q_1 = p_g - S(1) on each
+triple.  The reports read q(m) as q_1 of the record's q(n*m)
+(classify.Invariants.q), built from that same p_g.
 """
 
 from __future__ import annotations

@@ -57,11 +57,10 @@ class DualGraph(namedtuple("DualGraph", "center branches")):
 
     chain lists the self-intersections of one copy of branch w's chain, center
     outward; the branch is copies identical chains, each attached to the center
-    and to nothing else.  vertices and neighbors expand the star on first read:
-    vertex i carries (self_intersection, genus) and vertex 0 is the center.
-    Vertices are ordered: center, then w ascending, copies in order, chain
-    positions ascending (position 0 attaches to the center); to_json_dict and
-    to_dot walk the branches in the same order.
+    and to nothing else.  vertices and neighbors expand the star on first read,
+    from to_json_dict's vertices: vertex i carries (self_intersection, genus) and
+    vertex 0 is the center.  Vertices are ordered: center, then w ascending, copies
+    in order, chain positions ascending (position 0 attaches to the center).
     """
 
     @cached_property
@@ -93,21 +92,11 @@ class DualGraph(namedtuple("DualGraph", "center branches")):
 
     @cached_property
     def vertices(self) -> tuple[tuple[int, int], ...]:
-        return (self.center,) + tuple(
-            (weight, 0) for _, chain, copies in self.branches for weight in chain * copies
-        )
+        return tuple((v["weight"], v["genus"]) for v in to_json_dict(self)["vertices"])
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        neighbors: list[list[int]] = [[]]
-        for _, chain, copies in self.branches:
-            for _ in range(copies):
-                previous = 0
-                for _ in chain:
-                    neighbors.append([previous])
-                    neighbors[previous].append(len(neighbors) - 1)
-                    previous = len(neighbors) - 1
-        return tuple(map(tuple, neighbors))
+        return tuple(tuple(v["neighbors"]) for v in to_json_dict(self)["vertices"])
 
 
 class Cycle(namedtuple("Cycle", "center branches")):
@@ -410,8 +399,8 @@ def to_dot(g: DualGraph) -> str:
 
 
 def to_json_dict(g: DualGraph) -> dict:
-    """Canonical serialization, walked from the star: vertices in DualGraph.vertices order,
-    each chain vertex with its branch [w, copy, position]."""
+    """Canonical serialization, walked from the star, and the one home of the vertex order
+    (DualGraph): each chain vertex with its branch [w, copy, position]."""
     weight, genus = g.center
     vertices = [{"branch": None, "genus": genus, "neighbors": [], "weight": weight}]
     for w, chain, copies in g.branches:

@@ -9,9 +9,10 @@ of powers of the maximal ideal and their Q-multiples.
 
 The independent membership oracle raises a monomial to the a-th power and
 reads off, for each level k and power n, the least total degree i + j that
-puts x^k y^i z^j in the closure of m^n (power_membership_degree).  Membership
-is a threshold test in i + j on both sides, so verify compares that degree with
-e_k once per (pair, k, n), on (a, b, b), and the expansions once per triple.
+puts x^k y^i z^j in the closure of m^n (power_membership_degree).  With b <= c
+the expansion's least degrees are b k and do not read c, so the oracle takes a
+pair, and membership, a threshold test in i + j on both sides, is compared with
+e_k once per (pair, k, n).
 
 BrieskornPair (a, b) is the one home of everything the filtration of m derives
 without c: n_k, nr(m) = br(m), v_n, the sums S(n) with q(n*m) = p_g - S(n), and
@@ -83,6 +84,13 @@ class BrieskornPair(namedtuple("BrieskornPair", "a b")):
         return sums
 
     @cached_property
+    def expansion_min_degrees(self) -> tuple[int, ...]:
+        """Least (y, z)-degree of a term of (y^b + z^c)^k = (-x^a)^k, k = 0..a-1, for every
+        c >= b.  The term y^{bs} z^{c(k-s)} has degree b s + c (k - s), which does not
+        increase in s, so the least is b k, at s = k, in O(a)."""
+        return tuple(self.b * k for k in range(self.a))
+
+    @cached_property
     def hilbert(self) -> tuple[int, int, int]:
         """(e0_bar, e1_bar, e2_bar) = (a, sum_k n_k, sum_k C(n_k, 2)), in O(a)."""
         return (self.a, sum(self.n_seq), sum(map(comb, self.n_seq, repeat(2))))
@@ -108,13 +116,6 @@ class BrieskornTriple(namedtuple("BrieskornTriple", "a b c")):
     @cached_property
     def pair(self) -> BrieskornPair:
         return BrieskornPair(self.a, self.b)
-
-    @cached_property
-    def expansion_min_degrees(self) -> tuple[int, ...]:
-        """Least (y, z)-degree of a term of (y^b + z^c)^k = (-x^a)^k, k = 0..a-1.  The
-        term y^{bs} z^{c(k-s)} has degree b s + c (k - s), linear in s, so the least
-        is at s = k or s = 0: min(b k, c k), in O(a)."""
-        return tuple(min(self.b * k, self.c * k) for k in range(self.a))
 
     @property
     def q0(self) -> int:
@@ -211,18 +212,18 @@ def colength(ideal: StaircaseIdeal) -> int:
     return sum(e * (e + 1) // 2 for e in ideal.thresholds)
 
 
-def power_membership_degree(t: BrieskornTriple, k: int, n: int) -> int:
+def power_membership_degree(p: BrieskornPair, k: int, n: int) -> int:
     """Least i + j with x^k y^i z^j in the closure of m^n, by the a-th power.
 
     (x^k y^i z^j)^a rewrites as (-1)^k (y^b + z^c)^k y^{ai} z^{aj}; the
     monomial lies in the closure of m^n iff every term of that expansion has
     (y, z)-degree at least n*a, i.e. iff min_term + a*(i + j) >= n*a with
-    min_term = t.expansion_min_degrees[k].  Derived from the expansion alone,
-    independent of the staircase thresholds; lies in 0..n.
+    min_term = p.expansion_min_degrees[k], the same for every c >= b.  Derived
+    from the expansion alone, independent of the staircase thresholds; lies in 0..n.
     """
     if n < 1:
         raise ValueError(f"power must be positive, got {n}")
-    if not 0 <= k < t.a:
-        raise ValueError(f"x-exponent {k} outside 0..{t.a - 1}")
+    if not 0 <= k < p.a:
+        raise ValueError(f"x-exponent {k} outside 0..{p.a - 1}")
     # ceil((n*a - min_term) / a), clamped at 0
-    return max(0, -((t.expansion_min_degrees[k] - n * t.a) // t.a))
+    return max(0, -((p.expansion_min_degrees[k] - n * p.a) // p.a))

@@ -2,13 +2,14 @@
 
 The walk visits each pair 2 <= a <= b <= bound, and _row computes that pair's
 row: each suite's checks and failures on the pair and on each triple (a, b, c)
-with b <= c <= bound.  A pair check compares the c-free data of
-ring.BrieskornPair with its oracles, once per pair, and hands what it returns
-to the suite's triple checks.  A triple keeps its p_g, record and star, and a
-star its Z, each built at most once for every suite; nothing that fails to
-build is kept, so it fails once in each reader.  An InternalCheckError is
-recorded as a failure and ends that suite's checks of the triple, or of the
-pair and its triples, so a suite never reports more failures than checks.
+with b <= c <= bound.  Every check that does not read c is a pair check: it
+compares the data of ring.BrieskornPair with its oracles, once per pair, and
+hands what it returns to the suite's triple checks.  A triple keeps its p_g,
+record and star, and a star its Z, each built at most once for every suite;
+nothing that fails to build is kept, so it fails once in each reader.  An
+InternalCheckError is recorded as a failure and ends that suite's checks of the
+triple, or of the pair and its triples, so a suite never reports more failures
+than checks.
 
 No state crosses from one pair to the next, so run_all(bound, jobs) maps _row
 over the pairs, in process or on jobs workers forked by _forked, and adds the
@@ -78,19 +79,18 @@ def _nr_formula(p: ring.BrieskornPair, result: SuiteResult) -> None:
         result.failures.append(f"{p}: scan {scanned} != formula {p.nr}")
 
 
-def _membership_pair(p: ring.BrieskornPair, result: SuiteResult) -> tuple[int, ...]:
+def _membership_pair(p: ring.BrieskornPair, result: SuiteResult) -> None:
     """The socle lemma on closure(m^n), n = 1..nr + 2, and its thresholds vs the a-th
-    power expansion of (a, b, b); returns that triple's expansion degrees.  Both
+    power expansion, whose least degrees, with b <= c, read only the pair.  Both
     membership tests are thresholds in i + j, so this compares them at every i + j,
     as whole sequences over k; only a mismatch walks k to name each failing level."""
-    least = p.triple(p.b)
     socle = [ring.Monomial(k, 0, 0) for k in range(p.a)]
     for n in range(1, p.nr + 3):
         ideal = p.staircases[n]
         # x^k lies in closure(m^n) iff n <= n_k
         lemma = [n <= nk for nk in p.n_seq]
         members = [ring.contains(ideal, x) for x in socle]
-        degrees = [ring.power_membership_degree(least, k, n) for k in range(p.a)]
+        degrees = [ring.power_membership_degree(p, k, n) for k in range(p.a)]
         if members != lemma or list(ideal.thresholds) != degrees:
             for k, e in enumerate(ideal.thresholds):
                 if members[k] != lemma[k]:
@@ -100,49 +100,41 @@ def _membership_pair(p: ring.BrieskornPair, result: SuiteResult) -> tuple[int, .
                         f"{p}: e_{k} = {e} != expansion degree {degrees[k]} at k={k}, n={n}"
                     )
         result.checks += 2 * p.a
-    return least.expansion_min_degrees
 
 
-def _membership(t: ring.BrieskornTriple, result: SuiteResult, degrees) -> None:
-    """The expansion degrees, the one side that reads c, vs those of (a, b, b)."""
-    result.checks += 1
-    if t.expansion_min_degrees != degrees:
-        result.failures.append(f"{t}: expansion degrees {t.expansion_min_degrees} != {degrees}")
-
-
-def _q_pair(p: ring.BrieskornPair, result: SuiteResult) -> tuple[list[int], int]:
-    """v_n vs the colength oracle; returns S(n) summed term by term, and the tail sum
-    of the q(m) formula."""
+def _q_pair(p: ring.BrieskornPair, result: SuiteResult) -> list[int]:
+    """v_n vs the colength oracle, and S(n) summed term by term: S(1) vs the tail of the
+    q(m) formula, and for a = 2 each S(i), i = 1..nr + 1, vs its closed form, r = b // 2.
+    Returns those sums."""
     for n, v in enumerate(p.v):
         result.checks += 1
         oracle = filtration.colength_drop_oracle(p, n)
         if v != oracle:
             result.failures.append(f"{p}: v_{n} = {v} != colength drop {oracle}")
-    return [filtration.drop_sum(p, n) for n in range(p.nr + 2)], genus.q_of_m_tail(p)
-
-
-def _q_triple(t: ring.BrieskornTriple, result: SuiteResult, handed) -> None:
-    """q_1 vs the q(m) formula on the triple's p_g, q_n vs p_g - S(n), and the a = 2
-    closed form."""
-    drop_sums, tail = handed
+    sums = [filtration.drop_sum(p, n) for n in range(p.nr + 2)]
     result.checks += 1
+    tail = genus.q_of_m_tail(p)
+    if sums[1] != tail:
+        result.failures.append(f"{p}: S(1) = {sums[1]} != q(m) tail {tail}")
+    if p.a == 2:
+        r = p.b // 2
+        for i in range(1, p.nr + 2):
+            result.checks += 1
+            expected = i * (r - 1) - comb(i, 2) if i <= r - 1 else comb(r, 2)
+            if sums[i] != expected:
+                result.failures.append(f"{p}: S({i}) = {sums[i]} != a=2 closed form {expected}")
+    return sums
+
+
+def _q_triple(t: ring.BrieskornTriple, result: SuiteResult, drop_sums) -> None:
+    """q_n vs p_g - S(n), n = 0..nr + 1, with the pair's S(n) summed term by term."""
+    result.checks += len(drop_sums)
     inv = classify.invariants(t)
     pg = genus.geometric_genus(t)
-    q_m = pg - tail
-    if inv.q[1] != q_m:
-        result.failures.append(f"{t}: q_1 = {inv.q[1]} != q(m) formula {q_m}")
     for n, q in enumerate(inv.q):
-        result.checks += 1
         expected = pg - drop_sums[n]
         if q != expected:
             result.failures.append(f"{t}: q({n}m) = {q} != p_g - S({n}) = {expected}")
-    if t.a == 2:
-        r = t.b // 2
-        for i in range(1, t.pair.nr + 2):
-            result.checks += 1
-            expected = pg - i * (r - 1) + comb(i, 2) if i <= r - 1 else pg - comb(r, 2)
-            if inv.q[i] != expected:
-                result.failures.append(f"{t}: q({i}m) = {inv.q[i]} != {expected}")
 
 
 def _hilbert(p: ring.BrieskornPair, result: SuiteResult) -> None:
@@ -231,7 +223,7 @@ def _pg_bound(t: ring.BrieskornTriple, result: SuiteResult, _) -> None:
 # name: (pair check, triple check), in run_all order
 _SUITES = {
     "nr-formula-vs-staircase": (_nr_formula, None),
-    "power-membership-oracle": (_membership_pair, _membership),
+    "power-membership-oracle": (_membership_pair, None),
     "q-recursion": (_q_pair, _q_triple),
     "hilbert-coefficients": (_hilbert, None),
     "fundamental-genus": (None, _fundamental_genus),

@@ -29,7 +29,8 @@ R, G, N, F, Z, C, V, CLI = (
     for module in "ring genus numtheory filtration resolution classify verify cli".split()
 )
 MUTANTS = [
-    ("M1", R, "min(self.b * k, self.c", "max(self.b * k, self.c", "expansion degrees max for min"),
+    ("M1", R, "self.b * k for k", "self.b * k + (k > 1) for k",
+     "expansion degrees b k + 1 past k = 1"),
     ("M2", R, "(*chain.from_iterable(runs), 0)", "(self.a, *chain.from_iterable(runs))",
      "v shifted by one: v_n read at n - 1"),
     ("M3", R, "map(comb, self.n_seq, repeat(2))", "(comb(nk + 1, 2) for nk in self.n_seq)",
@@ -81,6 +82,7 @@ MUTANTS = [
      "a refused placement ends the worker"),
     ("M44", CLI, "rows) + 2, 24)", "rows) + 2, 26)", "the help column capped at 26"),
     ("M45", CLI, "len(part) > 78", "len(part) > 80", "usage lines filled to 80 columns"),
+    ("M46", V, "comb(i, 2)", "comb(i + 1, 2)", "the a = 2 closed form of S(i) with C(i + 1, 2)"),
 ]
 
 

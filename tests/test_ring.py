@@ -76,13 +76,6 @@ class TestTriple:
         with pytest.raises(ValueError, match="^need a >= 2, got a=1$"):
             new_triple(1, 2, 3)
 
-    def test_expansion_degrees_are_the_least_term_degree(self):
-        # the O(a^2) minimum over every term y^{bs} z^{c(k-s)} of (y^b + z^c)^k
-        for t in triples(40):
-            assert t.expansion_min_degrees == tuple(
-                min(t.b * s + t.c * (k - s) for s in range(k + 1)) for k in range(t.a)
-            )
-
     def test_n_seq_strictly_increasing_from_one(self):
         for t in triples(15):
             n = t.pair.n_seq
@@ -94,6 +87,14 @@ class TestTriple:
 class TestPair:
     def test_has_no_c(self):
         assert BrieskornPair._fields == ("a", "b")
+
+    def test_expansion_degrees_are_the_least_term_degree(self):
+        # the O(a^2) minimum over every term y^{bs} z^{c(k-s)} of (y^b + z^c)^k, any c >= b
+        far = [new_triple(a, b, c) for a, b in [(2, 3), (7, 9), (40, 40)] for c in (10**4, 10**6)]
+        for t in [*triples(40), *far]:
+            assert t.pair.expansion_min_degrees == tuple(
+                min(t.b * s + t.c * (k - s) for s in range(k + 1)) for k in range(t.a)
+            )
 
     def test_triples_of_one_pair_share_its_data(self):
         pair = BrieskornPair(4, 6)
@@ -191,8 +192,8 @@ class TestPowerMembershipOracle:
 
     def test_examples(self):
         t, m = new_triple(2, 5, 10), Monomial(1, 0, 1)
-        assert m.i + m.j >= power_membership_degree(t, m.k, 3)
-        assert not m.i + m.j >= power_membership_degree(t, m.k, 4)
+        assert m.i + m.j >= power_membership_degree(t.pair, m.k, 3)
+        assert not m.i + m.j >= power_membership_degree(t.pair, m.k, 4)
 
     def test_level_zero_reduces_to_q_power(self):
         t = new_triple(3, 5, 7)
@@ -200,7 +201,7 @@ class TestPowerMembershipOracle:
             for i in range(6):
                 for j in range(6):
                     expected = i + j >= n
-                    assert (i + j >= power_membership_degree(t, 0, n)) == expected
+                    assert (i + j >= power_membership_degree(t.pair, 0, n)) == expected
 
     def test_agrees_with_staircase(self):
         # both sides depend on i, j only through i + j
@@ -211,14 +212,14 @@ class TestPowerMembershipOracle:
                 for k in range(t.a):
                     for s in range(n + 1):
                         m = Monomial(k, s - s // 2, s // 2)
-                        member = m.i + m.j >= power_membership_degree(t, m.k, n)
+                        member = m.i + m.j >= power_membership_degree(t.pair, m.k, n)
                         assert contains(ideal, m) == member
 
     def test_degree_is_where_the_oracle_turns_true(self):
         for t in triples(12):
             for k in range(t.a):
                 for n in range(1, t.pair.n_seq[t.a - 1] + 3):
-                    degree = power_membership_degree(t, k, n)
+                    degree = power_membership_degree(t.pair, k, n)
                     assert 0 <= degree <= n
                     # least s with every term of (y^b + z^c)^k y^{as} of degree >= n*a
                     assert degree == min(
@@ -230,7 +231,7 @@ class TestPowerMembershipOracle:
         t = new_triple(3, 4, 7)
         for k, n in [(0, 0), (-1, 1), (3, 1)]:
             with pytest.raises(ValueError):
-                power_membership_degree(t, k, n)
+                power_membership_degree(t.pair, k, n)
 
     def test_sandwich_q_power_inside_closure(self):
         for t in triples(8):

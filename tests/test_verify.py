@@ -38,9 +38,8 @@ def test_q_recursion_suite_catches_a_wrong_drop_sum(monkeypatch):
     target, n = ring.BrieskornPair(4, 6), 2
 
     def off_once(p):
-        # past the pair's own S(1) and S(nr + 1) guards, and at neither n = 1 (the
-        # q(m) formula) nor n = nr (the p_g bound), so only p_g - S(n) summed term
-        # by term can see this
+        # past the pair's own S(1) and S(nr + 1) guards, and not at n = nr (the p_g
+        # bound), so only p_g - S(n) summed term by term can see this
         sums = list(exact(p))
         if p == target:
             sums[n] -= 1
@@ -53,6 +52,36 @@ def test_q_recursion_suite_catches_a_wrong_drop_sum(monkeypatch):
         str(target.triple(c)) for c in range(6, 10)
     ]
     assert all(f"q({n}m)" in f and f"p_g - S({n})" in f for f in failed["q-recursion"])
+
+
+def test_q_recursion_suite_checks_the_q_of_m_tail_once_per_pair(monkeypatch):
+    exact = genus.q_of_m_tail
+    monkeypatch.setattr(genus, "q_of_m_tail", lambda p: exact(p) + 1)
+    failed = {result.name: result.failures for result in run_all(6) if result.failures}
+    pairs = [ring.BrieskornPair(a, b) for a in range(2, 7) for b in range(a, 7)]
+    assert failed == {
+        "q-recursion": [f"{p}: S(1) = {exact(p)} != q(m) tail {exact(p) + 1}" for p in pairs]
+    }
+
+
+def test_q_recursion_suite_checks_the_a_2_sums_by_their_closed_form(monkeypatch):
+    exact_sums, exact_sum = ring.BrieskornPair.drop_sums.func, filtration.drop_sum
+    target, n = ring.BrieskornPair(2, 8), 2
+
+    def off_once(p):
+        sums = list(exact_sums(p))
+        if p == target:
+            sums[n] += 1
+        return tuple(sums)
+
+    # both sides of q_n = p_g - S(n) share the wrong S(2), past the pair's S(1) and
+    # S(nr + 1) guards, so only the a = 2 closed form can see it
+    monkeypatch.setattr(ring.BrieskornPair, "drop_sums", property(off_once))
+    monkeypatch.setattr(
+        filtration, "drop_sum", lambda p, k: exact_sum(p, k) + ((p, k) == (target, n))
+    )
+    failed = {result.name: result.failures for result in run_all(10) if result.failures}
+    assert failed == {"q-recursion": [f"{target}: S({n}) = 6 != a=2 closed form 5"]}
 
 
 def test_hilbert_suite_catches_a_wrong_closed_form(monkeypatch):
@@ -100,7 +129,7 @@ def test_membership_suite_catches_one_wrong_threshold(monkeypatch):
     # e_0 = 2 here, so x^0 stays outside the ideal and the socle test is blind
     monkeypatch.setattr(ring, "closure_of_m_power", one_threshold_off(target, k, n))
     result = suite_membership_oracle(7)
-    # the pair's thresholds are compared once, on its least triple
+    # the pair's thresholds are compared once per pair
     assert result.failures == [f"{target}: e_{k} = 3 != expansion degree 2 at k={k}, n={n}"]
 
 
@@ -143,24 +172,11 @@ def test_one_wrong_staircase_fails_every_suite_that_reads_it(monkeypatch):
 def test_membership_suite_catches_a_wrong_expansion_degree(monkeypatch):
     exact = ring.power_membership_degree
     monkeypatch.setattr(
-        ring, "power_membership_degree", lambda t, k, n: exact(t, k, n) + (k >= 1)
+        ring, "power_membership_degree", lambda p, k, n: exact(p, k, n) + (k >= 1)
     )
     result = suite_membership_oracle(5)
     assert not result.passed
     assert all("expansion degree" in failure for failure in result.failures)
-
-
-def test_membership_suite_catches_a_wrong_expansion_past_the_least_triple(monkeypatch):
-    exact = ring.BrieskornTriple.expansion_min_degrees.func
-    target = ring.BrieskornTriple(3, 5, 9)  # c > b: the pair's thresholds never read it
-
-    def off_once(t):
-        degrees = exact(t)
-        return (degrees[0], degrees[1] + 1, *degrees[2:]) if t == target else degrees
-
-    monkeypatch.setattr(ring.BrieskornTriple, "expansion_min_degrees", property(off_once))
-    result = suite_membership_oracle(10)
-    assert result.failures == [f"{target}: expansion degrees (0, 6, 10) != (0, 5, 10)"]
 
 
 def doubled(z: resolution.Cycle) -> resolution.Cycle:
@@ -280,7 +296,7 @@ def test_one_walk_computes_each_triple_once(monkeypatch):
     run_all(8)
     walked = [(a, b, c) for a in range(2, 9) for b in range(a, 9) for c in range(b, 9)]
     # q_sequence for the record; geometric_genus for the p_g the triple keeps, which
-    # the record and the q(m) formula both read; one Seifert record, which the
+    # the record and q-recursion's p_g - S(n) both read; one Seifert record, which the
     # triple keeps for every reader; one star, which both graph suites read (no triple
     # <= 8 takes the record's adjunction p_f path), and one elimination of its
     # chain kinds, which Z and the definiteness test both read; and the walk never
